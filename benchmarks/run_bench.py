@@ -13,8 +13,8 @@ Three workload families, mirroring the paper's experiment structure:
   at the paper's 5000-pattern budget on an error-free partial, i.e. a
   full pattern sweep with no early exit.
 
-Every workload is timed on up to three stacks, same interpreter, same
-host (per-bench ratios are therefore host-independent, unlike absolute
+Every workload is timed on two stacks, same interpreter, same host
+(per-bench ratios are therefore host-independent, unlike absolute
 seconds):
 
 * **legacy** — the frozen pre-rewrite reference (:mod:`repro.bdd._legacy`:
@@ -22,15 +22,12 @@ seconds):
   swap) plus the scalar one-pattern-at-a-time random-pattern engine;
 * **current** — the iterative dict manager plus the bit-parallel
   bigint pattern engine (``wall_s``/``speedup`` keep their BENCH_PR4
-  meaning);
-* **arena** — the numpy struct-of-arrays manager
-  (:mod:`repro.bdd.arena`) plus the uint64-lanes pattern engine
-  (``arena_*`` columns; omitted when numpy is unavailable).
+  meaning).
 
 Each ladder check runs on a fresh manager (``run_one_case``), exactly
 as the campaign that produces the paper's tables does.
 
-Output schema (``BENCH_PR9.json``)::
+Output schema::
 
     {"meta":    {"python": "3.11.7", "quick": false, "patterns": 5000},
      "benches": {"ladder_t2_alu4": {"wall_s": 0.41,
@@ -38,13 +35,8 @@ Output schema (``BENCH_PR9.json``)::
                                     "cache_hit_rate": 0.41,
                                     "legacy_wall_s": 0.58,
                                     "legacy_peak_nodes": 9182,
-                                    "speedup": 1.41,
-                                    "arena_wall_s": 0.39,
-                                    "arena_peak_nodes": 9182,
-                                    "arena_cache_hit_rate": 0.41,
-                                    "arena_speedup": 1.49}, ...},
-     "aggregate": {"wall_s": ..., "legacy_wall_s": ..., "speedup": ...,
-                   "arena_wall_s": ..., "arena_speedup": ...},
+                                    "speedup": 1.41}, ...},
+     "aggregate": {"wall_s": ..., "legacy_wall_s": ..., "speedup": ...},
      "sat_vs_bdd": {"sat_vs_bdd_comp": {"symbolic_01x": {
                         "bdd_wall_s": ..., "sat_wall_s": ...,
                         "ratio": ..., "portfolio_winner": "bdd"},
@@ -60,16 +52,13 @@ Usage::
     python benchmarks/run_bench.py                      # full suite
     python benchmarks/run_bench.py --quick              # CI smoke (fast)
     python benchmarks/run_bench.py --baseline BENCH_PR9.json
-    python benchmarks/run_bench.py -o BENCH_PR9.json \
-        --min-arena-speedup 5.0
+    python benchmarks/run_bench.py -o BENCH_NEW.json
 
 ``--baseline`` compares the measured per-bench *speedup ratios* against
 a committed BENCH_*.json and exits non-zero when any common bench
-regressed by more than ``--tolerance`` (default 25%).
-``--min-arena-speedup`` additionally requires the pooled arena-stack
-speedup over legacy to reach the given floor (the PR-9 acceptance gate
-is 5.0), and errors out with the arena's structured diagnostic when
-numpy is missing rather than passing vacuously.
+regressed by more than ``--tolerance`` (default 25%).  Columns of the
+retired numpy arena stack (``arena_*``, still present in the historic
+BENCH_PR9.json) are ignored.
 """
 
 from __future__ import annotations
@@ -86,7 +75,6 @@ from typing import Dict, List, Optional, Tuple
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from repro.bdd import arena_available                     # noqa: E402
 from repro.bdd._legacy import default_legacy_bdd          # noqa: E402
 from repro.bdd.function import default_bdd                # noqa: E402
 from repro.core.random_pattern import check_random_patterns  # noqa: E402
@@ -213,11 +201,8 @@ def _time_rp(spec, impl, patterns: int, seed: int,
 
 
 def run_benches(benches, patterns: int, seed: int, repeats: int,
-                with_arena: bool = False,
                 progress=print) -> Dict[str, Dict[str, float]]:
     """Measure every bench; returns the ``benches`` mapping."""
-    if with_arena:
-        from repro.bdd.arena import default_arena_bdd
     out: Dict[str, Dict[str, float]] = {}
     for key, circuit, fraction, num_boxes, kind in benches:
         spec, impl = _build_case(circuit, fraction, num_boxes, seed,
@@ -230,8 +215,6 @@ def run_benches(benches, patterns: int, seed: int, repeats: int,
                 spec, impl, patterns, seed, factory, engine)
         sides = [("", default_bdd, "packed"),
                  ("legacy_", default_legacy_bdd, "scalar")]
-        if with_arena:
-            sides.append(("arena_", default_arena_bdd, "lanes"))
         best: Dict[str, float] = {}
         for prefix, factory, engine in sides:
             wall = float("inf")
@@ -257,13 +240,6 @@ def run_benches(benches, patterns: int, seed: int, repeats: int,
         line = ("%-22s %7.2fs vs legacy %7.2fs  speedup %.2fx"
                 % (key, entry["wall_s"], entry["legacy_wall_s"],
                    entry["speedup"]))
-        if with_arena:
-            entry["arena_wall_s"] = best["arena_wall_s"]
-            entry["arena_peak_nodes"] = best["arena_peak_nodes"]
-            entry["arena_cache_hit_rate"] = best["arena_cache_hit_rate"]
-            entry["arena_speedup"] = round(
-                best["legacy_wall_s"] / best["arena_wall_s"], 3)
-            line += "  arena %.2fx" % entry["arena_speedup"]
         out[key] = entry
         progress(line)
     return out
@@ -337,7 +313,7 @@ def run_sat_benches(benches, seed: int, repeats: int,
 _COMPARE_WALL_FLOOR = 1.0
 #: A bench's individual ratio is legacy/current: below this many
 #: baseline wall seconds on the *current* side the denominator alone
-#: (e.g. a ~20 ms lanes sweep against a multi-second scalar one) makes
+#: (e.g. a ~20 ms packed sweep against a multi-second scalar one) makes
 #: the per-bench ratio swing past any sane tolerance, so such benches
 #: participate in the pooled comparison only.
 _COMPARE_DENOM_FLOOR = 0.05
@@ -354,13 +330,11 @@ def compare_to_baseline(benches: Dict[str, Dict], baseline: Dict,
     * each such bench whose baseline current-stack wall also reaches
       ``_COMPARE_DENOM_FLOOR`` is compared individually;
     * the pooled ratio (sum of legacy walls over sum of current
-      walls) is compared, for the current and the arena stack.
+      walls) is compared.
     """
     ok = True
     base_benches = baseline.get("benches", {})
     walls = legacy_walls = base_walls = base_legacy_walls = 0.0
-    arena_walls = arena_legacy = base_arena_walls = base_arena_legacy \
-        = 0.0
     for key, entry in benches.items():
         base = base_benches.get(key)
         if base is None or "speedup" not in base:
@@ -374,11 +348,6 @@ def compare_to_baseline(benches: Dict[str, Dict], baseline: Dict,
         legacy_walls += entry["legacy_wall_s"]
         base_walls += base["wall_s"]
         base_legacy_walls += base["legacy_wall_s"]
-        if "arena_wall_s" in entry and "arena_wall_s" in base:
-            arena_walls += entry["arena_wall_s"]
-            arena_legacy += entry["legacy_wall_s"]
-            base_arena_walls += base["arena_wall_s"]
-            base_arena_legacy += base["legacy_wall_s"]
         floor = base["speedup"] * (1.0 - tolerance)
         if base["wall_s"] < _COMPARE_DENOM_FLOOR:
             report("-- %s: denominator too small, pooled only "
@@ -405,19 +374,6 @@ def compare_to_baseline(benches: Dict[str, Dict], baseline: Dict,
             ok = False
         else:
             report("ok pooled: speedup %.2fx (baseline %.2fx)"
-                   % (pooled, base_pooled))
-    if arena_walls and base_arena_walls:
-        pooled = arena_legacy / arena_walls
-        base_pooled = base_arena_legacy / base_arena_walls
-        floor = base_pooled * (1.0 - tolerance)
-        if pooled < floor:
-            report("REGRESSION pooled arena: speedup %.2fx < %.2fx "
-                   "(baseline %.2fx - %d%%)"
-                   % (pooled, floor, base_pooled,
-                      round(100 * tolerance)))
-            ok = False
-        else:
-            report("ok pooled arena: speedup %.2fx (baseline %.2fx)"
                    % (pooled, base_pooled))
     return ok
 
@@ -446,28 +402,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "vs --baseline (default 0.25)")
     parser.add_argument("-o", "--output", metavar="FILE", default=None,
                         help="write the result JSON here")
-    parser.add_argument("--min-arena-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail unless the pooled arena-stack "
-                             "speedup over legacy reaches X (errors "
-                             "out when numpy is unavailable)")
-    parser.add_argument("--no-arena", action="store_true",
-                        help="skip the arena stack even when numpy "
-                             "is available")
     parser.add_argument("--no-sat", action="store_true",
                         help="skip the SAT-vs-BDD trajectory column")
     args = parser.parse_args(argv)
-
-    with_arena = arena_available() and not args.no_arena
-    if args.min_arena_speedup is not None and not with_arena:
-        from repro.bdd.arena import ArenaUnavailableError
-        try:
-            diagnostic = ArenaUnavailableError().diagnostic
-        except Exception:
-            diagnostic = {"error": "arena-backend-unavailable"}
-        print("FAIL: --min-arena-speedup needs the arena stack: %s"
-              % json.dumps(diagnostic, sort_keys=True), file=sys.stderr)
-        return 2
 
     benches = QUICK_BENCHES if args.quick else FULL_BENCHES
     if args.benchmarks:
@@ -482,7 +419,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     patterns = args.patterns or (100 if args.quick else 5000)
 
     measured = run_benches(benches, patterns, args.seed, args.repeats,
-                           with_arena=with_arena,
                            progress=lambda msg: print(msg,
                                                       file=sys.stderr))
     walls = [e["wall_s"] for e in measured.values()]
@@ -492,11 +428,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "legacy_wall_s": round(sum(legacy_walls), 4),
         "speedup": round(sum(legacy_walls) / sum(walls), 3),
     }
-    if with_arena:
-        arena_walls = [e["arena_wall_s"] for e in measured.values()]
-        aggregate["arena_wall_s"] = round(sum(arena_walls), 4)
-        aggregate["arena_speedup"] = round(
-            sum(legacy_walls) / sum(arena_walls), 3)
     result = {
         "meta": {
             "python": platform.python_version(),
@@ -520,10 +451,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("wrote %s" % args.output, file=sys.stderr)
     else:
         print(text)
-    summary = "aggregate speedup: %.2fx" % aggregate["speedup"]
-    if with_arena:
-        summary += "  arena: %.2fx" % aggregate["arena_speedup"]
-    print(summary, file=sys.stderr)
+    print("aggregate speedup: %.2fx" % aggregate["speedup"],
+          file=sys.stderr)
 
     status = 0
     if args.quick:
@@ -534,15 +463,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("FAIL: computed table saw no hits on: %s"
                   % ", ".join(dead), file=sys.stderr)
             status = 1
-    if args.min_arena_speedup is not None:
-        got = aggregate["arena_speedup"]
-        if got < args.min_arena_speedup:
-            print("FAIL: pooled arena speedup %.2fx < required %.2fx"
-                  % (got, args.min_arena_speedup), file=sys.stderr)
-            status = 1
-        else:
-            print("arena gate ok: %.2fx >= %.2fx"
-                  % (got, args.min_arena_speedup), file=sys.stderr)
     if args.baseline:
         with open(args.baseline) as handle:
             baseline = json.load(handle)

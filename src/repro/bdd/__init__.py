@@ -19,13 +19,6 @@ from .dot import to_dot
 from .restrict_ops import constrain, minimize_restrict
 from .io import (dump_functions, dumps_functions, load_functions,
                  loads_functions)
-from .backends import (BACKENDS, DEFAULT_BACKEND, BACKEND_ENV,
-                       default_bdd_for_backend, make_bdd,
-                       normalize_backend, resolve_backend)
-# The arena classes themselves live in repro.bdd.arena (importable
-# without numpy; constructing an ArenaManager without numpy raises
-# ArenaUnavailableError with a structured diagnostic).
-from .arena import ArenaUnavailableError, arena_available
 
 __all__ = [
     "Bdd",
@@ -36,15 +29,6 @@ __all__ = [
     "BddManager",
     "FALSE",
     "TRUE",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "BACKEND_ENV",
-    "normalize_backend",
-    "resolve_backend",
-    "make_bdd",
-    "default_bdd_for_backend",
-    "ArenaUnavailableError",
-    "arena_available",
     "sift",
     "set_order",
     "swap_adjacent_levels",

@@ -319,15 +319,6 @@ class BddManager:
         """Current level (0 = top) of variable ``var``."""
         return self._var2level[var]
 
-    def var_node_counts(self) -> List[int]:
-        """Live node count per variable id (reordering cost signal).
-
-        Backends that do not maintain per-variable node sets (the
-        arena) override this; :func:`repro.bdd.reorder.sift` goes
-        through it instead of touching ``_var_nodes`` directly.
-        """
-        return [len(s) for s in self._var_nodes]
-
     def _node_level(self, u: int) -> int:
         var = self._var[u]
         if var == _TERMINAL_VAR:

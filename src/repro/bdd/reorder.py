@@ -292,8 +292,8 @@ def sift(mgr: BddManager, max_growth: float = 1.2,
     does, so before/after benchmarks measure the true pre-rewrite
     reordering cost).
     """
-    counts = mgr.var_node_counts()
-    order = sorted(range(mgr.num_vars), key=lambda w: -counts[w])
+    order = sorted(range(mgr.num_vars),
+                   key=lambda w: -len(mgr._var_nodes[w]))
     if max_vars:
         order = order[:max_vars]
     if stall is None:
@@ -308,8 +308,7 @@ def sift(mgr: BddManager, max_growth: float = 1.2,
                          variables=len(order))
     try:
         for var in order:
-            # Re-read: earlier sifts shift nodes between variables.
-            if mgr.var_node_counts()[var] == 0:
+            if len(mgr._var_nodes[var]) == 0:
                 continue
             sift_one(mgr, var, max_growth, stall)
         mgr.clear_cache()

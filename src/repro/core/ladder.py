@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from ..bdd import default_bdd
 from ..circuit.netlist import Circuit
-from ..obs import ManagerSnapshot, get_tracer, unique_table_summary
+from ..obs import ManagerSnapshot, get_tracer
 from ..partial.blackbox import PartialImplementation
 from ..resilience.budget import BudgetExceededError
 from .common import prepare_context
@@ -43,7 +44,6 @@ def run_ladder(spec: Circuit, partial: PartialImplementation,
                lint: bool = True,
                budget: "Optional[Budget]" = None,
                bdd=None,
-               backend: Optional[str] = None,
                preflight: bool = False,
                cache=None,
                strategy: Optional[str] = None) -> List[CheckResult]:
@@ -59,14 +59,6 @@ def run_ladder(spec: Circuit, partial: PartialImplementation,
     rungs share it, each result's ``stats`` records that rung's *delta*
     of the computed-table counters (``cache_hits``, ``cache_misses``,
     ``cache_evictions``, ``cache_hit_rate``).
-
-    ``backend`` selects the manager implementation when no explicit
-    ``bdd`` is passed: ``"dict"`` (default), ``"arena"`` (the numpy
-    struct-of-arrays manager) or ``"legacy"``; ``None`` consults
-    ``$REPRO_BDD_BACKEND``.  Requesting the arena without numpy raises
-    :class:`repro.bdd.ArenaUnavailableError` (structured diagnostic).
-    Verdicts and counterexamples are backend-independent — the
-    differential suite enforces this.
 
     Unless ``lint=False``, the partial implementation is linted first
     and the findings are attached to every result's ``diagnostics`` —
@@ -179,11 +171,7 @@ def run_ladder(spec: Circuit, partial: PartialImplementation,
                 spec, partial, report.open_indices)
 
     if bdd is None:
-        from ..bdd.backends import default_bdd_for_backend
-
-        bdd = default_bdd_for_backend(backend)()
-    elif backend is not None:
-        raise ValueError("pass either bdd= or backend=, not both")
+        bdd = default_bdd()
     if budget is not None:
         budget.start()
         bdd.set_budget(budget)
@@ -362,10 +350,8 @@ def _close_rung(result: CheckResult, before: ManagerSnapshot, bdd,
     delta = before.delta(after)
     touched = (delta["cache_hits"] or delta["cache_misses"]
                or delta["gc_runs"] or delta["reorders"])
-    unique = unique_table_summary(bdd)  # {} off the arena backend
     if result.check != "random_pattern" or touched:
         result.stats.update(delta)
-        result.stats.update(unique)
     if span is not None:
         span.done(verdict=result.outcome,
                   error_found=result.error_found,
@@ -375,17 +361,13 @@ def _close_rung(result: CheckResult, before: ManagerSnapshot, bdd,
                   cache_hits=delta["cache_hits"],
                   cache_misses=delta["cache_misses"],
                   gc_runs=delta["gc_runs"],
-                  reorders=delta["reorders"],
-                  **unique)
+                  reorders=delta["reorders"])
 
 
 def check_partial_equivalence(spec: Circuit,
                               partial: PartialImplementation,
                               patterns: int = 1000,
-                              seed: Optional[int] = None,
-                              backend: Optional[str] = None)\
-        -> CheckResult:
+                              seed: Optional[int] = None) -> CheckResult:
     """One-call API: the final (most accurate) verdict of the ladder."""
-    results = run_ladder(spec, partial, patterns=patterns, seed=seed,
-                         backend=backend)
+    results = run_ladder(spec, partial, patterns=patterns, seed=seed)
     return results[-1]

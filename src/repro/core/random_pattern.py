@@ -13,9 +13,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..circuit.netlist import Circuit
 from ..partial.blackbox import PartialImplementation
-from ..sim.bitparallel import (lanes_to_int, pack_patterns,
-                               pack_patterns_lanes, simulate_lanes,
-                               simulate_packed)
+from ..sim.bitparallel import pack_patterns, simulate_packed
 from ..sim.logic3 import ONE, ZERO, from_bool
 from ..sim.patterns import random_patterns
 from ..sim.ternary import simulate_ternary
@@ -33,14 +31,6 @@ DEFAULT_PATTERNS = 5000
 #: line wide-ish and matches the scalar engine's budget-checkpoint
 #: cadence, so both engines observe deadlines at the same points.
 _CHUNK = 256
-
-#: Patterns per uint64-lanes batch.  Lanes pay a fixed numpy dispatch
-#: cost per gate, amortised over the batch width, so they want much
-#: wider batches than bigints; chunking (rather than one giant batch)
-#: still bounds memory and keeps budget checkpoints flowing.  Chunk
-#: size never changes the verdict: the first failing pattern is the
-#: globally lowest-index one however the stream is sliced.
-_LANE_CHUNK = 4096
 
 
 def ternary_distinguishes(spec: Circuit, partial: PartialImplementation,
@@ -121,46 +111,6 @@ def _packed_sweep(spec: Circuit, partial: PartialImplementation,
     return None, None, tried
 
 
-def _lanes_sweep(spec: Circuit, partial: PartialImplementation,
-                 patterns: int, seed: Optional[int],
-                 budget: "Optional[Budget]")\
-        -> Tuple[Optional[str], Optional[Dict[str, bool]], int]:
-    """uint64-lanes engine: numpy word arrays instead of bigint masks.
-
-    Same stream, same verdict, same counterexample and tried count as
-    :func:`_packed_sweep`; only the mask representation (and the batch
-    width it makes affordable) differs.
-    """
-    source = random_patterns(spec.inputs, patterns, seed=seed)
-    output_pairs = list(zip(spec.outputs, partial.circuit.outputs))
-    tried = 0
-    while tried < patterns:
-        if budget is not None:
-            budget.checkpoint("random_pattern")
-        chunk = list(itertools.islice(source, _LANE_CHUNK))
-        if not chunk:
-            break
-        packed = pack_patterns_lanes(spec.inputs, chunk)
-        spec_out = simulate_lanes(spec, packed, len(chunk))
-        impl_out = simulate_lanes(partial.circuit, packed, len(chunk))
-        combined = None
-        errors = []
-        for spec_net, impl_net in output_pairs:
-            spec1, spec0 = spec_out[spec_net]
-            impl1, impl0 = impl_out[impl_net]
-            err = (spec1 & impl0) | (spec0 & impl1)
-            errors.append((spec_net, err))
-            combined = err if combined is None else combined | err
-        if combined is not None and combined.any():
-            comb = lanes_to_int(combined)
-            first = (comb & -comb).bit_length() - 1
-            for spec_net, err in errors:
-                if int(err[first >> 6]) >> (first & 63) & 1:
-                    return spec_net, chunk[first], tried + first + 1
-        tried += len(chunk)
-    return None, None, tried
-
-
 def check_random_patterns(spec: Circuit, partial: PartialImplementation,
                           patterns: int = DEFAULT_PATTERNS,
                           seed: Optional[int] = None,
@@ -175,24 +125,20 @@ def check_random_patterns(spec: Circuit, partial: PartialImplementation,
 
     ``engine`` selects the simulation backend: ``"packed"`` (default)
     sweeps the netlist once per 256-pattern batch with bit-parallel
-    bigint mask arithmetic; ``"lanes"`` is the same dual-rail sweep on
-    numpy uint64 word arrays with much wider batches (requires numpy);
-    ``"scalar"`` is the historic one-pattern-at-a-time interpreter,
-    kept as the differential reference and as the before/after
-    baseline in ``benchmarks/run_bench.py``.  All three consume the
-    identical pattern stream and return identical verdicts,
+    mask arithmetic; ``"scalar"`` is the historic one-pattern-at-a-time
+    interpreter, kept as the differential reference and as the
+    before/after baseline in ``benchmarks/run_bench.py``.  Both consume
+    the identical pattern stream and return identical verdicts,
     counterexamples and tried counts.
     """
     partial.validate_against(spec)
     if engine == "packed":
         sweep = _packed_sweep
-    elif engine == "lanes":
-        sweep = _lanes_sweep
     elif engine == "scalar":
         sweep = _scalar_sweep
     else:
-        raise ValueError("unknown engine %r (choose 'packed', 'lanes' "
-                         "or 'scalar')" % engine)
+        raise ValueError("unknown engine %r (choose 'packed' or "
+                         "'scalar')" % engine)
     with Stopwatch() as clock:
         failing, cex, tried = sweep(spec, partial, patterns, seed,
                                     budget)

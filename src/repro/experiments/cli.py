@@ -168,16 +168,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="max live BDD nodes per check; an "
                              "overrunning check degrades to "
                              "INCONCLUSIVE with per-level stats")
-    parser.add_argument("--backend", choices=("dict", "arena", "legacy"),
-                        default=None,
-                        help="BDD backend for the symbolic checks: "
-                             "'dict' (pure Python, default), 'arena' "
-                             "(numpy struct-of-arrays, fastest; "
-                             "requires numpy) or 'legacy' (frozen PR-4 "
-                             "reference).  Defaults to "
-                             "$REPRO_BDD_BACKEND, else 'dict'.  The "
-                             "resolved backend is recorded in every "
-                             "case spec, so journals are deterministic")
     parser.add_argument("--strategy", choices=("bdd", "portfolio",
                                                "sat"),
                         default=None,
@@ -226,18 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also print a measured-vs-paper comparison "
                              "(tables 1 and 2 only)")
     args = parser.parse_args(argv)
-    from ..bdd import arena_available, resolve_backend
-
-    if resolve_backend(args.backend) == "arena" and not arena_available():
-        # Fail at the front door with the structured diagnostic — not
-        # with an ImportError traceback from deep inside a worker.
-        from ..bdd.arena import ArenaUnavailableError
-
-        diag = ArenaUnavailableError().diagnostic
-        print("error: %s: %s\nhint: %s"
-              % (diag["error"], diag["reason"], diag["hint"]),
-              file=sys.stderr)
-        return 2
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.shards < 0:
@@ -333,7 +311,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("unknown benchmarks: %s" % ", ".join(unknown))
         overrides["benchmarks"] = names
     for attr in ("selections", "errors", "patterns", "node_limit",
-                 "soft_timeout", "check_cache", "backend", "strategy"):
+                 "soft_timeout", "check_cache", "strategy"):
         value = getattr(args, attr)
         if value is not None:
             overrides[attr] = value

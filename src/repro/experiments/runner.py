@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bdd import default_bdd
 from ..circuit.netlist import Circuit
-from ..obs import ManagerSnapshot, get_tracer, unique_table_summary
+from ..obs import ManagerSnapshot, get_tracer
 from ..core.input_exact import input_exact_from_context
 from ..core.local_check import local_check_from_context
 from ..core.output_exact import output_exact_from_context
@@ -77,12 +77,6 @@ class ExperimentConfig:
     #: from a content-addressed check cache rooted at ``check_cache``.
     preflight: bool = False
     check_cache: Optional[str] = None
-    #: BDD backend for the symbolic checks (``"dict"`` / ``"arena"`` /
-    #: ``"legacy"``, see :mod:`repro.bdd.backends`).  ``None`` consults
-    #: ``$REPRO_BDD_BACKEND`` at case-enumeration time; the resolved
-    #: name is recorded in every case spec so journals stay
-    #: deterministic.
-    backend: Optional[str] = None
     #: Engine strategy for the symbolic 0,1,X and output exact checks
     #: (see :mod:`repro.core.portfolio` and ``docs/sat.md``):
     #: ``None``/``"bdd"`` runs the BDD algorithms, ``"sat"`` the SAT
@@ -131,12 +125,6 @@ class BenchmarkRow:
     cache_hits: Dict[str, int] = field(default_factory=dict)
     cache_misses: Dict[str, int] = field(default_factory=dict)
     cache_evictions: Dict[str, int] = field(default_factory=dict)
-    #: arena-backend unique-table health, per check: mean load factor
-    #: over valid cases, worst 95th-percentile probe length, total
-    #: resizes (all zero on the dict backend)
-    unique_load_factor: Dict[str, float] = field(default_factory=dict)
-    unique_probe_p95: Dict[str, int] = field(default_factory=dict)
-    unique_resizes: Dict[str, int] = field(default_factory=dict)
     #: cases with a usable verdict, per check (defaults to ``cases``)
     valid: Dict[str, int] = field(default_factory=dict)
     #: cases killed at the campaign deadline, per check
@@ -198,7 +186,6 @@ def run_one_case(spec: Circuit, partial: PartialImplementation,
                  seed: int, budget=None,
                  bdd_factory=None,
                  rp_engine: str = "packed",
-                 backend: Optional[str] = None,
                  strategy: Optional[str] = None)\
         -> Dict[str, CheckResult]:
     """All requested checks on one (spec, partial) pair.
@@ -210,10 +197,6 @@ def run_one_case(spec: Circuit, partial: PartialImplementation,
     before/after benchmark passes the legacy reference factory here,
     together with ``rp_engine="scalar"`` so its "before" side also runs
     the historic one-pattern-at-a-time random-pattern engine.
-    ``backend`` is the declarative equivalent (``"dict"`` / ``"arena"``
-    / ``"legacy"``, see :mod:`repro.bdd.backends`) used by campaign
-    workers, which ship case *coordinates* instead of callables; it is
-    mutually exclusive with ``bdd_factory``.
 
     A ``budget`` (:class:`repro.resilience.budget.Budget`) is attached
     to every fresh manager; an overrunning check raises
@@ -232,12 +215,7 @@ def run_one_case(spec: Circuit, partial: PartialImplementation,
 
     strategy = normalize_strategy(strategy)
     if bdd_factory is None:
-        from ..bdd.backends import default_bdd_for_backend
-
-        bdd_factory = default_bdd_for_backend(backend)
-    elif backend is not None:
-        raise ValueError("pass either bdd_factory= or backend=, "
-                         "not both")
+        bdd_factory = default_bdd
     tracer = get_tracer()
     results: Dict[str, CheckResult] = {}
     for short in checks:
@@ -319,7 +297,6 @@ def _attach_cache_stats(result: CheckResult, bdd,
     if before is None:
         before = ManagerSnapshot()
     result.stats.update(before.delta(ManagerSnapshot.capture(bdd)))
-    result.stats.update(unique_table_summary(bdd))
 
 
 def _tune_spec(spec: Circuit) -> Tuple[Circuit, int]:

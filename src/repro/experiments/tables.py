@@ -161,21 +161,6 @@ def format_cache_stats(rows: Sequence[BenchmarkRow],
                     row.cache_evictions.get(check, 0),
                     100.0 * row.cache_hit_rate(check))))
         lines.append("%-9s " % row.circuit + " ".join(cells))
-    if any(row.unique_load_factor.get(check, 0.0)
-           or row.unique_resizes.get(check, 0)
-           for row in rows for check in sym_checks):
-        sub = ("arena unique table (load factor, probe p95, resizes "
-               "over valid cases)")
-        lines += ["", sub, "-" * len(sub)]
-        lines.append("circuit   "
-                     + " ".join("%26s" % c for c in sym_checks))
-        for row in rows:
-            cells = ["%26s" % ("%.2f lf / p95 %d / %d rs" % (
-                row.unique_load_factor.get(check, 0.0),
-                row.unique_probe_p95.get(check, 0),
-                row.unique_resizes.get(check, 0)))
-                for check in sym_checks]
-            lines.append("%-9s " % row.circuit + " ".join(cells))
     return "\n".join(lines)
 
 

@@ -115,7 +115,12 @@ class _ShardHandle:
         self.proc = proc
         self.conn = conn
         self.spawned = spawned
-        self.last_beat: Optional[float] = None  # None until hello
+        #: None until this process's own hello.  The shard journal is
+        #: append-only across respawns (and resumed runs) and is tailed
+        #: from offset 0, so events before that hello belong to a dead
+        #: predecessor: they neither prove liveness nor put claims in
+        #: flight.
+        self.last_beat: Optional[float] = None
         self.offset = 0
         self.tail = b""
         self.claims: Dict[str, float] = {}  # key -> claimed-at
@@ -299,6 +304,12 @@ class Supervisor:
     def _on_event(self, handle: _ShardHandle, event: Dict,
                   now: float) -> None:
         kind = event.get("ev")
+        if handle.last_beat is None:
+            if kind == "hello" \
+                    and event.get("incarnation") == handle.incarnation \
+                    and event.get("pid") == handle.proc.pid:
+                handle.last_beat = now
+            return
         if kind in ("hello", "heartbeat"):
             handle.last_beat = now
         elif kind == "claim":

@@ -86,9 +86,6 @@ def row_from_records(name: str, records: Sequence[CaseRecord],
         row.check_errors[check] = 0
         row.inconclusive[check] = 0
         row.check_cache_hits[check] = 0
-        row.unique_load_factor[check] = 0.0
-        row.unique_probe_p95[check] = 0
-        row.unique_resizes[check] = 0
         row.sat_wins[check] = 0
         row.bdd_wins[check] = 0
         seconds_seen[check] = []
@@ -137,15 +134,6 @@ def row_from_records(name: str, records: Sequence[CaseRecord],
                 row.cache_hits[check] += outcome.cache_hits
                 row.cache_misses[check] += outcome.cache_misses
                 row.cache_evictions[check] += outcome.cache_evictions
-                # Arena unique-table health: mean load factor over the
-                # valid cases (divided below), worst-case probe p95,
-                # total resizes.  All-zero off the arena backend.
-                row.unique_load_factor[check] \
-                    += outcome.unique_load_factor
-                row.unique_probe_p95[check] = max(
-                    row.unique_probe_p95[check],
-                    outcome.unique_probe_p95)
-                row.unique_resizes[check] += outcome.unique_resizes
                 # Portfolio outcomes record which engine answered
                 # (empty on the default BDD-only ladder).
                 if outcome.engine == "sat":
@@ -157,7 +145,6 @@ def row_from_records(name: str, records: Sequence[CaseRecord],
             row.impl_nodes[check] /= row.valid[check]
             row.peak_nodes[check] /= row.valid[check]
             row.runtime[check] /= row.valid[check]
-            row.unique_load_factor[check] /= row.valid[check]
             row.runtime_p50[check] = nearest_rank(seconds_seen[check],
                                                   0.50)
             row.runtime_p95[check] = nearest_rank(seconds_seen[check],

@@ -88,14 +88,6 @@ class CheckOutcome:
     #: executed.  Serialised only when set, so journals written without
     #: a cache stay byte-identical to pre-cache ones.
     cached: bool = False
-    #: Arena-backend unique-table health (``repro.bdd.arena``): final
-    #: open-addressing load factor, 95th-percentile probe length, and
-    #: table resize count.  All zero on the dict/legacy backends and
-    #: serialised only when any is set, so default-backend journals
-    #: stay byte-identical to pre-arena ones.
-    unique_load_factor: float = 0.0
-    unique_probe_p95: int = 0
-    unique_resizes: int = 0
     #: Engine that decided this check under a portfolio/SAT strategy
     #: (``"bdd"`` or ``"sat"``, see :mod:`repro.core.portfolio`).
     #: Empty on the default BDD-only ladder and serialised only when
@@ -117,11 +109,6 @@ class CheckOutcome:
                 "detail": self.detail}
         if self.cached:
             data["cached"] = True
-        if (self.unique_load_factor or self.unique_probe_p95
-                or self.unique_resizes):
-            data["unique_load_factor"] = self.unique_load_factor
-            data["unique_probe_p95"] = self.unique_probe_p95
-            data["unique_resizes"] = self.unique_resizes
         if self.engine:
             data["engine"] = self.engine
         return data
@@ -140,10 +127,6 @@ class CheckOutcome:
                    gc_runs=int(data.get("gc_runs", 0)),
                    detail=data.get("detail", ""),
                    cached=bool(data.get("cached", False)),
-                   unique_load_factor=float(
-                       data.get("unique_load_factor", 0.0)),
-                   unique_probe_p95=int(data.get("unique_probe_p95", 0)),
-                   unique_resizes=int(data.get("unique_resizes", 0)),
                    engine=data.get("engine", ""))
 
 

@@ -75,12 +75,6 @@ class CaseSpec:
     #: what they are, so it is excluded from the key.
     preflight: bool = False
     check_cache: Optional[str] = None
-    #: BDD backend the case's symbolic checks run on (see
-    #: :mod:`repro.bdd.backends`).  ``None`` means the default dict
-    #: manager; the value is normalized at enumeration time, so
-    #: ``"dict"`` never appears here — default-backend journals stay
-    #: byte-identical to pre-arena ones.
-    backend: Optional[str] = None
     #: Engine strategy for the symbolic rungs (see
     #: :mod:`repro.core.portfolio`): ``"portfolio"`` races BDD vs SAT
     #: under deterministic step quanta, ``"sat"`` runs the SAT
@@ -114,7 +108,7 @@ class CaseSpec:
                 repr(self.fraction), self.num_boxes, self.patterns,
                 self.seed, self.checks, self.node_limit,
                 repr(self.soft_timeout) if self.soft_timeout is not None
-                else None, self.preflight, self.backend, self.strategy)
+                else None, self.preflight, self.strategy)
 
     def describe(self) -> str:
         """Short human-readable coordinate for progress lines."""
@@ -142,8 +136,6 @@ class CaseSpec:
             data["preflight"] = True
         if self.check_cache is not None:
             data["check_cache"] = self.check_cache
-        if self.backend is not None:
-            data["backend"] = self.backend
         if self.strategy is not None:
             data["strategy"] = self.strategy
         return data
@@ -166,7 +158,6 @@ class CaseSpec:
                    if soft_timeout is not None else None,
                    preflight=bool(data.get("preflight", False)),
                    check_cache=data.get("check_cache"),
-                   backend=data.get("backend"),
                    strategy=data.get("strategy"))
 
 
@@ -179,21 +170,11 @@ def enumerate_cases(config: "ExperimentConfig",
     canonical order the aggregator folds records in, so float sums are
     identical no matter in which order the cases actually executed.
     """
-    import os
-
-    from ..bdd.backends import BACKEND_ENV, normalize_backend
+    from ..core.portfolio import normalize_strategy
     from ..generators.benchmarks import BENCHMARK_FACTORIES
 
     names = list(benchmarks if benchmarks is not None
                  else (config.benchmarks or BENCHMARK_FACTORIES))
-    # The BDD backend is resolved (config beats $REPRO_BDD_BACKEND)
-    # *here*, once, so it becomes part of every case's key and journal
-    # record — workers then execute what the spec says, never what
-    # their own environment happens to hold.
-    backend = normalize_backend(getattr(config, "backend", None)
-                                or os.environ.get(BACKEND_ENV))
-    from ..core.portfolio import normalize_strategy
-
     strategy = normalize_strategy(getattr(config, "strategy", None))
     cases: List[CaseSpec] = []
     for name in names:
@@ -209,6 +190,5 @@ def enumerate_cases(config: "ExperimentConfig",
                     soft_timeout=getattr(config, "soft_timeout", None),
                     preflight=getattr(config, "preflight", False),
                     check_cache=getattr(config, "check_cache", None),
-                    backend=backend,
                     strategy=strategy))
     return cases

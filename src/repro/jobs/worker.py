@@ -303,8 +303,6 @@ def _execute_case(case: CaseSpec,
                                   case.patterns,
                                   seed=case.case_seed,
                                   budget=budget,
-                                  backend=case.backend
-                                  or "dict",
                                   strategy=case.strategy)[check]
             outcomes[check] = CheckOutcome(
                 outcome=result.outcome,
@@ -319,12 +317,6 @@ def _execute_case(case: CaseSpec,
                 reorders=int(result.stats.get("reorders", 0)),
                 gc_runs=int(result.stats.get("gc_runs", 0)),
                 detail=result.detail,
-                unique_load_factor=float(
-                    result.stats.get("unique_load_factor", 0.0)),
-                unique_probe_p95=int(
-                    result.stats.get("unique_probe_p95", 0)),
-                unique_resizes=int(
-                    result.stats.get("unique_resizes", 0)),
                 # Which engine answered a raced rung (portfolio/sat
                 # strategies only).  The random-pattern check has its
                 # own unrelated stats["engine"] ("packed"/"scalar"),

@@ -19,7 +19,7 @@ overhead bound enforced by ``benchmarks/test_obs_micro.py``.
 """
 
 from .tracer import Span, Tracer, get_tracer, set_tracer
-from .snapshot import ManagerSnapshot, unique_table_summary
+from .snapshot import ManagerSnapshot
 from .export import (load_trace, read_jsonl, to_chrome, write_chrome,
                      write_jsonl)
 from .summary import aggregate_spans, build_tree, format_diff, \
@@ -31,7 +31,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "ManagerSnapshot",
-    "unique_table_summary",
     "read_jsonl",
     "write_jsonl",
     "to_chrome",

@@ -22,28 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict
 
-__all__ = ["ManagerSnapshot", "unique_table_summary"]
-
-
-def unique_table_summary(bdd: Any) -> Dict[str, Any]:
-    """Duck-typed unique-table health of an arena-backed manager.
-
-    Reads ``unique_table_stats()`` (the arena's open-addressing
-    counters) from a ``Bdd`` wrapper or raw manager and returns the
-    three ``CheckResult.stats`` keys the ``--stats`` view and trace
-    span exits report: ``unique_load_factor``, ``unique_probe_p95``,
-    ``unique_resizes``.  Empty on backends without the method (the
-    dict and legacy managers), so their stats and journal bytes are
-    unchanged.
-    """
-    probe = getattr(getattr(bdd, "manager", bdd),
-                    "unique_table_stats", None)
-    if probe is None:
-        return {}
-    stats = probe()
-    return {"unique_load_factor": round(stats["load_factor"], 4),
-            "unique_probe_p95": stats["probe_p95"],
-            "unique_resizes": stats["resizes"]}
+__all__ = ["ManagerSnapshot"]
 
 
 @dataclass(frozen=True)

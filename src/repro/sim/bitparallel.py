@@ -19,27 +19,6 @@ simulation; the semantics are exactly those of
 :func:`repro.sim.logic3.eval_gate3` (pessimistic X propagation), which
 the differential tests in ``tests/sim/test_bitparallel.py`` check
 pattern by pattern.
-
-Two mask representations share that encoding:
-
-* **bigint** (the original): each rail is one arbitrary-precision
-  Python int.  Always available, fastest for small batches.
-* **uint64 lanes**: each rail is a numpy array of shape ``(n_words,)``
-  with 64 patterns per word, little-endian — bit ``p`` lives at
-  ``word p // 64, bit p % 64``, exactly where ``int.to_bytes(...,
-  "little")`` puts it, so :func:`lanes_to_int` /
-  :func:`int_to_lanes` convert between the two without reordering.
-  Gate cost stays O(n_words) C-loop no matter how wide the batch, so
-  lanes win once batches outgrow a few machine words.  Requires
-  numpy (:func:`lanes_available`); the bigint engines never do.
-
-The word-boundary contract both representations share: every bit at
-index ``>= num_patterns`` in the top word is 0 on *both* rails.
-``~`` on uint64 would happily set those tail bits (reading as definite
-values for patterns that do not exist), so every lanes kernel masks
-through the batch's ``full`` array — the pinned-seed regression in
-``tests/sim/test_bitparallel.py`` holds the two paths bit-identical
-across 63/64/65-style boundaries.
 """
 
 from __future__ import annotations
@@ -50,56 +29,11 @@ from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit, CircuitError
 from .logic3 import ONE, X, ZERO, TernaryValue
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
 __all__ = ["PackedValue", "pack_patterns", "simulate_packed",
-           "unpack_value", "LanesValue", "lanes_available",
-           "int_to_lanes", "lanes_to_int", "pack_patterns_lanes",
-           "simulate_lanes", "unpack_lanes"]
+           "unpack_value"]
 
 #: ``(is1, is0)`` bit-masks of one net over a batch of patterns.
 PackedValue = Tuple[int, int]
-
-#: ``(is1, is0)`` uint64 lane arrays of one net, shape ``(n_words,)``.
-LanesValue = Tuple["_np.ndarray", "_np.ndarray"]
-
-
-def lanes_available() -> bool:
-    """True when numpy is importable and the lanes engine can run."""
-    return _np is not None
-
-
-def _require_lanes() -> None:
-    if _np is None:
-        raise RuntimeError(
-            "simulation engine 'lanes' needs numpy, which is not "
-            "installed; engines 'packed' and 'scalar' run without it")
-
-
-def _lane_words(num_patterns: int) -> int:
-    return (num_patterns + 63) // 64
-
-
-def int_to_lanes(mask: int, num_patterns: int) -> "_np.ndarray":
-    """Widen one bigint rail into uint64 lanes (little-endian words)."""
-    words = _lane_words(num_patterns)
-    return _np.frombuffer(mask.to_bytes(words * 8, "little"),
-                          dtype=_np.dtype("<u8")).copy()
-
-
-def lanes_to_int(lanes: "_np.ndarray") -> int:
-    """Collapse uint64 lanes back into the equivalent bigint rail."""
-    return int.from_bytes(
-        _np.ascontiguousarray(lanes, dtype=_np.dtype("<u8")).tobytes(),
-        "little")
-
-
-def _lanes_full(num_patterns: int) -> "_np.ndarray":
-    """All-patterns-set mask: tail bits of the top word stay 0."""
-    return int_to_lanes((1 << num_patterns) - 1, num_patterns)
 
 
 def pack_patterns(input_names: Sequence[str],
@@ -192,106 +126,6 @@ def simulate_packed(circuit: Circuit,
     for net in circuit.topological_order():
         gate = circuit.gate(net)
         values[net] = _eval_packed(
-            gate.gtype, [values[src] for src in gate.inputs], full)
-    if all_nets:
-        return values
-    return {net: values[net] for net in circuit.outputs}
-
-
-def pack_patterns_lanes(input_names: Sequence[str],
-                        assignments: Sequence[Dict[str, bool]])\
-        -> Dict[str, LanesValue]:
-    """:func:`pack_patterns`, widened to uint64 lanes.
-
-    Defined *as* the widening of the bigint packer so the two engines
-    cannot drift: whatever bit layout ``pack_patterns`` produces is the
-    layout the lanes carry.
-    """
-    _require_lanes()
-    num = len(assignments)
-    return {name: (int_to_lanes(one, num), int_to_lanes(zero, num))
-            for name, (one, zero)
-            in pack_patterns(input_names, assignments).items()}
-
-
-def unpack_lanes(value: LanesValue, index: int) -> TernaryValue:
-    """Extract pattern ``index`` of a lanes net as a ternary scalar."""
-    word, bit = index >> 6, index & 63
-    if int(value[0][word]) >> bit & 1:
-        return ONE
-    if int(value[1][word]) >> bit & 1:
-        return ZERO
-    return X
-
-
-def _eval_lanes(gtype: GateType, inputs: List[LanesValue],
-                full: "_np.ndarray") -> LanesValue:
-    """One gate over the whole batch, one uint64 word at a time.
-
-    Mirrors :func:`_eval_packed` with two lanes-specific obligations:
-    accumulators are *copies* (in-place ``&=``/``|=`` on an alias of
-    ``full`` would corrupt the batch mask for every later gate), and
-    every ``~`` result is intersected with a ``full``-bounded rail so
-    the dead tail bits of the top word stay 0 on both rails.
-    """
-    if gtype is GateType.AND or gtype is GateType.NAND:
-        one = full.copy()
-        zero = _np.zeros_like(full)
-        for a1, a0 in inputs:
-            one &= a1
-            zero |= a0
-        return (zero, one) if gtype is GateType.NAND else (one, zero)
-    if gtype is GateType.OR or gtype is GateType.NOR:
-        one = _np.zeros_like(full)
-        zero = full.copy()
-        for a1, a0 in inputs:
-            one |= a1
-            zero &= a0
-        return (zero, one) if gtype is GateType.NOR else (one, zero)
-    if gtype is GateType.XOR or gtype is GateType.XNOR:
-        definite = full.copy()
-        parity = _np.zeros_like(full)
-        for a1, a0 in inputs:
-            definite &= a1 | a0
-            parity ^= a1
-        one = definite & parity
-        zero = definite & ~parity
-        return (zero, one) if gtype is GateType.XNOR else (one, zero)
-    if gtype is GateType.NOT:
-        a1, a0 = inputs[0]
-        return a0, a1
-    if gtype is GateType.BUF:
-        return inputs[0]
-    if gtype is GateType.CONST0:
-        return _np.zeros_like(full), full.copy()
-    if gtype is GateType.CONST1:
-        return full.copy(), _np.zeros_like(full)
-    raise ValueError("unknown gate type %r" % gtype)
-
-
-def simulate_lanes(circuit: Circuit,
-                   packed_inputs: Dict[str, LanesValue],
-                   num_patterns: int,
-                   all_nets: bool = False) -> Dict[str, LanesValue]:
-    """:func:`simulate_packed` on uint64 lanes.
-
-    Same contract, different rail representation; the differential
-    tests hold the two bit-identical on shared pattern corpora.
-    """
-    _require_lanes()
-    full = _lanes_full(num_patterns)
-    all_x = _np.zeros_like(full)
-    values: Dict[str, LanesValue] = {}
-    for net in circuit.inputs:
-        try:
-            values[net] = packed_inputs[net]
-        except KeyError:
-            raise CircuitError("missing input value %r" % net) from None
-    for net in circuit.free_nets():
-        values[net] = packed_inputs.get(net, (all_x, all_x))
-    for net in circuit.topological_order():
-        gate = circuit.gate(net)
-        values[net] = _eval_lanes(
             gate.gtype, [values[src] for src in gate.inputs], full)
     if all_nets:
         return values

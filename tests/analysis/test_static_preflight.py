@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.ladder as ladder_mod
 from repro.analysis.static import preflight
 from repro.analysis.static.preflight import (STATUS_EQUIVALENT,
                                              STATUS_MISMATCH,
@@ -131,12 +132,10 @@ class TestLadderIntegration:
         partial = PartialImplementation(
             impl, [BlackBox("BB", ("a",), ("z",))])
 
-        def boom(backend=None):
+        def boom():
             raise AssertionError("a BDD manager was constructed")
 
-        from repro.bdd import backends as backends_mod
-        monkeypatch.setattr(backends_mod, "default_bdd_for_backend",
-                            boom)
+        monkeypatch.setattr(ladder_mod, "default_bdd", boom)
         results = run_ladder(spec, partial, preflight=True)
         assert len(results) == 1
         assert results[0].check == "preflight"

@@ -6,6 +6,10 @@ test drives a 64-entry-per-segment manager and an unbounded one through
 the same random operation programs and requires *identical node ids*
 at every step: node identity comes from the unique table alone, so any
 divergence means an eviction leaked into semantics.
+
+The same programs also hold the manager to the recursive reference in
+:mod:`repro.bdd._legacy`, with and without garbage collection and
+sifting interleaved: the node-id oracle for any rewrite of the kernels.
 """
 
 import pytest
@@ -21,7 +25,7 @@ NAMES = ["a", "b", "c", "d", "e"]
 #: indices are taken modulo the live pool size at execution time.
 _STEP = st.tuples(
     st.sampled_from(["and", "or", "xor", "not", "ite", "exists",
-                     "restrict"]),
+                     "forall", "and_exists", "restrict", "compose"]),
     st.integers(min_value=0, max_value=255),
     st.integers(min_value=0, max_value=255),
     st.integers(min_value=0, max_value=255),
@@ -36,6 +40,7 @@ def _run_program(bdd, program):
         f = pool[i % len(pool)]
         g = pool[j % len(pool)]
         h = pool[k % len(pool)]
+        name = NAMES[j % len(NAMES)]
         if op == "and":
             result = f & g
         elif op == "or":
@@ -47,9 +52,15 @@ def _run_program(bdd, program):
         elif op == "ite":
             result = f.ite(g, h)
         elif op == "exists":
-            result = f.exists([NAMES[j % len(NAMES)]])
-        else:  # restrict
-            result = f.restrict({NAMES[j % len(NAMES)]: bool(k % 2)})
+            result = f.exists([name])
+        elif op == "forall":
+            result = f.forall([name])
+        elif op == "and_exists":
+            result = f.and_exists(g, [NAMES[k % len(NAMES)]])
+        elif op == "restrict":
+            result = f.restrict({name: bool(k % 2)})
+        else:  # compose
+            result = f.compose({name: h})
         pool.append(result)
         trace.append(result.node)
     return trace
@@ -79,6 +90,25 @@ def test_bounded_iterative_matches_legacy(program):
     legacy = _fresh(cls=LegacyBdd)
     assert _run_program(current, program) == _run_program(legacy,
                                                           program)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_STEP, max_size=30))
+def test_legacy_matches_through_gc_and_reorder(program):
+    """Same node ids, order and size when GC and sifting interleave."""
+    current = _fresh()
+    legacy = _fresh(cls=LegacyBdd)
+    cut = len(program) // 2
+    traces = []
+    for bdd in (current, legacy):
+        head = _run_program(bdd, program[:cut])
+        bdd.manager.collect_garbage()
+        bdd.reorder()
+        tail = _run_program(bdd, program[cut:])
+        traces.append((head, tail, list(bdd.manager.var_order),
+                       len(bdd)))
+    assert traces[0] == traces[1]
+    assert current.manager.invariant_violations() == []
 
 
 class TestEviction:

@@ -9,7 +9,7 @@ per config; each example replays the fleet against it.
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.export import rows_to_csv, rows_to_json
@@ -76,6 +76,7 @@ def test_any_shard_count_matches_serial(shards):
           suppress_health_check=[HealthCheck.too_slow])
 @given(shards=st.integers(min_value=1, max_value=3),
        choice=st.integers(min_value=0, max_value=10 ** 6))
+@example(shards=1, choice=0)
 def test_random_kill_drill_matches_serial(shards, choice):
     # Aim the kill at a shard that owns at least one case, at a random
     # ordinal within its assignment.  Whether the fault actually fires

@@ -11,6 +11,7 @@ import json
 import os
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,8 +19,9 @@ from repro.core.result import (OUTCOME_ERROR, OUTCOME_OK,
                                OUTCOME_TIMEOUT)
 from repro.experiments.export import rows_to_csv, rows_to_json
 from repro.experiments.runner import ExperimentConfig
-from repro.fleet import (FleetConfig, case_key_hash, partition,
-                         run_fleet, shard_of)
+from repro.fleet import (FleetConfig, ShardJournal, Supervisor,
+                         case_key_hash, partition, run_fleet, shard_of)
+from repro.fleet.supervisor import _ShardHandle
 from repro.jobs.engine import run_campaign
 from repro.jobs.spec import enumerate_cases
 from repro.obs import Tracer
@@ -143,6 +145,28 @@ class TestKillShardDrill:
         events = [e for e in _supervisor_events(fleet_journal)
                   if e["ev"] == "respawn"]
         assert events and events[0]["shard"] == 0
+
+    def test_replacement_ignores_its_predecessors_events(self, tmp_path):
+        # A replacement tails the journal its dead predecessor wrote.
+        # That hello must not count as the replacement's liveness (it
+        # would skip the startup grace) nor that claim as in flight (a
+        # phantom claim burns a retry when the replacement dies).
+        cases = enumerate_cases(CONFIG)
+        key = case_key_hash(cases[0])
+        supervisor = Supervisor(cases, 1, str(tmp_path), config=FAST)
+        journal = ShardJournal(supervisor.paths.shard_journal(0), 0)
+        journal.hello(101, 0, len(cases))
+        journal.claim(key, None)
+        handle = _ShardHandle(0, 1, SimpleNamespace(pid=202), None, 0.0)
+        supervisor._tail(handle, 1.0)
+        assert handle.last_beat is None
+        assert handle.claims == {}
+        journal.hello(202, 1, len(cases))
+        journal.claim(key, None)
+        journal.close()
+        supervisor._tail(handle, 2.0)
+        assert handle.last_beat == 2.0
+        assert handle.claims == {key: 2.0}
 
 
 class TestHeartbeatBlackholeDrill:

@@ -18,10 +18,7 @@ from repro.generators.benchmarks import BENCHMARK_FACTORIES
 from repro.partial.blackbox import PartialImplementation
 from repro.partial.extraction import make_partial
 from repro.partial.mutations import insert_random_error
-from repro.sim.bitparallel import (int_to_lanes, lanes_available,
-                                   lanes_to_int, pack_patterns,
-                                   pack_patterns_lanes, simulate_lanes,
-                                   simulate_packed, unpack_lanes,
+from repro.sim.bitparallel import (pack_patterns, simulate_packed,
                                    unpack_value)
 from repro.sim.logic3 import ONE, X, ZERO
 from repro.sim.ternary import simulate_ternary
@@ -128,84 +125,30 @@ def test_unknown_engine_rejected():
         check_random_patterns(spec, partial, patterns=10, engine="simd")
 
 
-lanes_only = pytest.mark.skipif(not lanes_available(),
-                                reason="lanes engine needs numpy")
+#: One below, at and above one and two 64-bit words, plus odd sizes.
+BATCH_SIZES = (1, 63, 64, 65, 127, 128, 129, 200, 256)
 
 
-@lanes_only
-class TestLanesBitIdentity:
-    """Pinned-seed regression: bigint and uint64-lanes rails agree
-    bit for bit, with the batch sizes chosen to straddle 64-bit word
-    boundaries (the spot where an unmasked ``~`` on uint64 invents
-    definite values for patterns beyond the batch)."""
-
-    #: One below, at, and above one and two words, plus odd sizes.
-    BOUNDARY_SIZES = (1, 63, 64, 65, 127, 128, 129, 200, 256)
-
-    @pytest.mark.parametrize("n_patterns", BOUNDARY_SIZES)
-    def test_rails_identical_at_word_boundaries(self, n_patterns):
-        rng = random.Random(20_260_809)
-        circuit = _random_circuit(rng, n_gates=30, n_free=3)
-        assignments = [
-            {name: bool(rng.getrandbits(1)) for name in circuit.inputs}
-            for _ in range(n_patterns)]
-        big = simulate_packed(circuit,
-                              pack_patterns(circuit.inputs, assignments),
-                              n_patterns, all_nets=True)
-        lanes = simulate_lanes(
-            circuit, pack_patterns_lanes(circuit.inputs, assignments),
-            n_patterns, all_nets=True)
-        top = 1 << n_patterns
-        for net, (b1, b0) in big.items():
-            l1, l0 = lanes[net]
-            assert lanes_to_int(l1) == b1, (net, n_patterns)
-            assert lanes_to_int(l0) == b0, (net, n_patterns)
-            # X-propagation at the boundary: every bit past the batch
-            # stays 0 on BOTH rails — never a phantom definite value.
-            assert b1 < top and b0 < top, (net, n_patterns)
-            assert lanes_to_int(l1) < top and lanes_to_int(l0) < top
-
-    def test_int_lanes_round_trip(self):
-        for n in self.BOUNDARY_SIZES:
-            mask = random.Random(n).getrandbits(n)
-            assert lanes_to_int(int_to_lanes(mask, n)) == mask
-
-    def test_unpack_lanes_decodes_all_three(self):
-        one = int_to_lanes(0b01, 3)
-        zero = int_to_lanes(0b10, 3)
-        assert unpack_lanes((one, zero), 0) == ONE
-        assert unpack_lanes((one, zero), 1) == ZERO
-        assert unpack_lanes((one, zero), 2) == X
-
-
-@lanes_only
-@pytest.mark.parametrize("circuit_name", ["alu4", "comp"])
-@pytest.mark.parametrize("case_seed", [0, 1, 2])
-def test_lanes_engine_agrees_end_to_end(circuit_name, case_seed):
-    """engine='lanes' returns the packed engine's exact CheckResult."""
-    spec = BENCHMARK_FACTORIES[circuit_name]()
-    partial = make_partial(spec, fraction=0.2, num_boxes=2,
-                           seed=case_seed)
-    mutated, _ = insert_random_error(partial.circuit,
-                                     random.Random(case_seed + 3))
-    impl = PartialImplementation(mutated, partial.boxes)
-    packed = check_random_patterns(spec, impl, patterns=400,
-                                   seed=case_seed, engine="packed")
-    lanes = check_random_patterns(spec, impl, patterns=400,
-                                  seed=case_seed, engine="lanes")
-    assert packed.error_found == lanes.error_found
-    assert packed.counterexample == lanes.counterexample
-    assert packed.failing_output == lanes.failing_output
-    assert packed.stats["patterns"] == lanes.stats["patterns"]
-    assert packed.detail == lanes.detail
-
-
-def test_lanes_engine_without_numpy_is_a_clear_error(monkeypatch):
-    import repro.sim.bitparallel as bp
-    monkeypatch.setattr(bp, "_np", None)
-    assert not bp.lanes_available()
-    spec = BENCHMARK_FACTORIES["comp"]()
-    partial = make_partial(spec, fraction=0.2, num_boxes=1, seed=0)
-    with pytest.raises(RuntimeError, match="needs numpy"):
-        check_random_patterns(spec, partial, patterns=10,
-                              engine="lanes")
+@pytest.mark.parametrize("n_patterns", BATCH_SIZES)
+def test_packed_matches_scalar_across_batch_sizes(n_patterns):
+    """Pinned-seed regression at batch sizes straddling machine words:
+    every pattern's packed value equals the scalar engine's, and no
+    bit past the batch is ever set on either rail (a stray ``~`` would
+    invent definite values for patterns that do not exist)."""
+    rng = random.Random(20_260_809)
+    circuit = _random_circuit(rng, n_gates=30, n_free=3)
+    assignments = [
+        {name: bool(rng.getrandbits(1)) for name in circuit.inputs}
+        for _ in range(n_patterns)]
+    packed = simulate_packed(circuit,
+                             pack_patterns(circuit.inputs, assignments),
+                             n_patterns, all_nets=True)
+    top = 1 << n_patterns
+    for one, zero in packed.values():
+        assert 0 <= one < top and 0 <= zero < top
+    for p, assignment in enumerate(assignments):
+        scalar = simulate_ternary(
+            circuit, {k: int(v) for k, v in assignment.items()},
+            all_nets=True)
+        for net, expected in scalar.items():
+            assert unpack_value(packed[net], p) == expected, (net, p)
