@@ -92,6 +92,17 @@ def test_bounded_iterative_matches_legacy(program):
                                                           program)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_STEP, max_size=40))
+def test_default_matches_legacy_node_for_node(program):
+    """Default configuration == reference: node ids, size, invariants."""
+    current = _fresh()
+    legacy = _fresh(cls=LegacyBdd)
+    assert _run_program(current, program) == _run_program(legacy, program)
+    assert len(current) == len(legacy)
+    assert current.manager.invariant_violations() == []
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_STEP, max_size=30))
 def test_legacy_matches_through_gc_and_reorder(program):
