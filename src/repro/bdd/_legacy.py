@@ -158,6 +158,31 @@ class LegacyBddManager(BddManager):
                       "entries": len(self._cache), "hit_rate": 0.0},
         }
 
+    # -- cofactor helpers of the recursive kernels ---------------------
+
+    def _top_split(self, f: int, g: int) -> Tuple[int, int, int, int, int]:
+        """Cofactor ``f`` and ``g`` against their topmost variable.
+
+        Returns ``(var, f0, f1, g0, g1)``.
+        """
+        lf, lg = self._node_level(f), self._node_level(g)
+        if lf <= lg:
+            var = self._var[f]
+            f0, f1 = self._low[f], self._high[f]
+        else:
+            var = self._var[g]
+            f0 = f1 = f
+        if lg <= lf:
+            g0, g1 = self._low[g], self._high[g]
+        else:
+            g0 = g1 = g
+        return var, f0, f1, g0, g1
+
+    def _cofactors_at(self, f: int, level: int) -> Tuple[int, int]:
+        if self._node_level(f) == level:
+            return self._low[f], self._high[f]
+        return f, f
+
     # -- Boolean kernels (verbatim pre-rewrite implementations) --------
 
     def _and(self, f: int, g: int) -> int:

@@ -61,9 +61,9 @@ _TERMINAL_VAR = -1
 _TERMINAL_LEVEL = 1 << 60
 
 # Opcodes.  The segmented computed table no longer tags its keys with
-# these (each op owns a segment), but quantification still dispatches on
-# them and :mod:`repro.bdd._legacy` keys its historic single table with
-# them.
+# these (each op owns a segment), but the binary apply loop and
+# quantification still dispatch on them and :mod:`repro.bdd._legacy`
+# keys its historic single table with them.
 _OP_AND = 0
 _OP_OR = 1
 _OP_XOR = 2
@@ -94,6 +94,17 @@ _SEGMENT_SPECS = (
     ("restrict", "_c_restrict", "_cs_restrict", "ctx1"),
     ("and_exists", "_c_andex", "_cs_andex", "ctx2"),
 )
+
+#: Rule rows of the binary apply loop: opcode -> (segment attr, stats
+#: attr, identity constant, xor flag).  With the pair normalized to
+#: ``f < g``, ``f == g`` yields ``f`` (FALSE for XOR), and a constant
+#: ``f`` yields ``g`` when it is the identity, else ``f`` itself
+#: (absorbing, AND/OR) or ``not g`` (XOR).
+_APPLY_RULES = {
+    _OP_AND: ("_c_and", "_cs_and", TRUE, False),
+    _OP_OR: ("_c_or", "_cs_or", FALSE, False),
+    _OP_XOR: ("_c_xor", "_cs_xor", FALSE, True),
+}
 
 
 class BddManager:
@@ -133,7 +144,10 @@ class BddManager:
     where the manager is consistent — already-built nodes stay valid
     and further operations are allowed.  During a level swap the budget
     is detached and re-checked only at swap boundaries, so reordering
-    can never be interrupted mid-mutation.
+    can never be interrupted mid-mutation.  The countdown is also the
+    fault seam: :func:`repro.resilience.faults.inject_mk_memory_error`
+    arms it without a budget and shadows :meth:`_budget_poll`, so no
+    kernel carries a fault-injection test of its own.
     """
 
     def __init__(self, auto_reorder: bool = False,
@@ -668,31 +682,15 @@ class BddManager:
         self._maybe_maintain()
         return self._or(self._not(f), g)
 
-    def _top_split(self, f: int, g: int) -> Tuple[int, int, int, int, int]:
-        """Cofactor ``f`` and ``g`` against their topmost variable.
-
-        Returns ``(var, f0, f1, g0, g1)``.
-        """
-        lf, lg = self._node_level(f), self._node_level(g)
-        if lf <= lg:
-            var = self._var[f]
-            f0, f1 = self._low[f], self._high[f]
-        else:
-            var = self._var[g]
-            f0 = f1 = f
-        if lg <= lf:
-            g0, g1 = self._low[g], self._high[g]
-        else:
-            g0 = g1 = g
-        return var, f0, f1, g0, g1
-
     # Each kernel is split into a fast path (terminal rules, normalize,
-    # one computed-table probe) and a ``*_slow`` explicit-stack loop.
-    # The loops use *lookahead*: before pushing a frame for a child
-    # pair, they try to resolve it inline via the terminal rules and a
-    # cache probe, so frames exist only for true misses.  Stats are
-    # accumulated in locals and flushed in ``finally`` (a budget trip
-    # may abort the loop mid-flight).
+    # one computed-table probe) and a resolve-first explicit-stack loop:
+    # ``_apply_slow`` serves AND, OR and XOR, ``_negate_slow`` NOT and
+    # ``_ite_slow`` ITE.  A loop resolves each task by a terminal rule
+    # or a cache hit, else pushes one frame and descends into the low
+    # cofactor.  The two Boolean loops inline ``mk``'s creation path
+    # (one copy each); going through ``mk`` costs measurable check time.
+    # Stats are accumulated in locals and flushed in ``finally`` (a
+    # budget trip may abort the loop mid-flight).
 
     def _and(self, f: int, g: int) -> int:
         if f == FALSE or g == FALSE:
@@ -707,214 +705,7 @@ class BddManager:
         if res is not None:
             self._cs_and[0] += 1
             return res
-        return self._and_slow(f, g)
-
-    def _and_slow(self, f: int, g: int) -> int:
-        # (f, g) is normalized and just missed the computed table.
-        cache = self._c_and
-        cache_get = cache.get
-        limit = self._cache_limit
-        var_a = self._var
-        low_a = self._low
-        high_a = self._high
-        v2l = self._var2level
-        unique = self._unique
-        unique_get = unique.get
-        var_nodes = self._var_nodes
-        pref = self._pref
-        ref = self._ref
-        free = self._free
-        # The fault injector (resilience.faults) patches the public mk
-        # as an instance attribute; route node creation through it so
-        # injected allocator faults still fire inside the loop.
-        mk_hooked = "mk" in self.__dict__
-        stack: List[list] = []
-        push = stack.append
-        pop = stack.pop
-        hits = 0
-        miss = 0
-        evt = 0
-        key = (f, g)
-        try:
-            while True:
-                # EXPAND: (f, g) is a normalized computed-table miss.
-                miss += 1
-                vf = var_a[f]
-                vg = var_a[g]
-                lf = v2l[vf]
-                lg = v2l[vg]
-                if lf <= lg:
-                    v = vf
-                    f0 = low_a[f]
-                    f1 = high_a[f]
-                else:
-                    v = vg
-                    f0 = f1 = f
-                if lg <= lf:
-                    g0 = low_a[g]
-                    g1 = high_a[g]
-                else:
-                    g0 = g1 = g
-                # Quick-resolve the low pair.
-                if f0 == FALSE or g0 == FALSE:
-                    r0 = FALSE
-                elif f0 == TRUE:
-                    r0 = g0
-                elif g0 == TRUE or f0 == g0:
-                    r0 = f0
-                else:
-                    if f0 > g0:
-                        f0, g0 = g0, f0
-                    k0 = (f0, g0)
-                    r0 = cache_get(k0)
-                    if r0 is None:
-                        push([key, v, f1, g1, -1])
-                        f = f0
-                        g = g0
-                        key = k0
-                        continue
-                    hits += 1
-                # Quick-resolve the high pair.
-                if f1 == FALSE or g1 == FALSE:
-                    r1 = FALSE
-                elif f1 == TRUE:
-                    r1 = g1
-                elif g1 == TRUE or f1 == g1:
-                    r1 = f1
-                else:
-                    if f1 > g1:
-                        f1, g1 = g1, f1
-                    k1 = (f1, g1)
-                    r1 = cache_get(k1)
-                    if r1 is None:
-                        push([key, v, r0, 0, 0])
-                        f = f1
-                        g = g1
-                        key = k1
-                        continue
-                    hits += 1
-                # Inline mk(v, r0, r1).
-                if mk_hooked:
-                    res = self.mk(v, r0, r1)
-                elif r0 == r1:
-                    res = r0
-                else:
-                    ukey = (v, r0, r1)
-                    res = unique_get(ukey)
-                    if res is None:
-                        if free:
-                            res = free.pop()
-                            var_a[res] = v
-                            low_a[res] = r0
-                            high_a[res] = r1
-                            ref[res] = 0
-                            pref[res] = 0
-                        else:
-                            res = len(var_a)
-                            var_a.append(v)
-                            low_a.append(r0)
-                            high_a.append(r1)
-                            ref.append(0)
-                            pref.append(0)
-                        unique[ukey] = res
-                        var_nodes[v].add(res)
-                        pref[r0] += 1
-                        pref[r1] += 1
-                        live = self._live_nodes + 1
-                        self._live_nodes = live
-                        if live > self.peak_live_nodes:
-                            self.peak_live_nodes = live
-                        n = self._budget_countdown
-                        if n is not None:
-                            if n > 0:
-                                self._budget_countdown = n - 1
-                            else:
-                                self._budget_poll("mk")
-                if len(cache) >= limit:
-                    del cache[next(iter(cache))]
-                    evt += 1
-                cache[key] = res
-                # UNWIND until a frame needs a subcomputation.
-                while stack:
-                    top = stack[-1]
-                    if top[4] < 0:
-                        # res is the low result; quick-resolve the high.
-                        r0 = res
-                        f1 = top[2]
-                        g1 = top[3]
-                        if f1 == FALSE or g1 == FALSE:
-                            r1 = FALSE
-                        elif f1 == TRUE:
-                            r1 = g1
-                        elif g1 == TRUE or f1 == g1:
-                            r1 = f1
-                        else:
-                            if f1 > g1:
-                                f1, g1 = g1, f1
-                            k1 = (f1, g1)
-                            r1 = cache_get(k1)
-                            if r1 is None:
-                                top[2] = r0
-                                top[4] = 0
-                                f = f1
-                                g = g1
-                                key = k1
-                                break
-                            hits += 1
-                        pop()
-                    else:
-                        pop()
-                        r0 = top[2]
-                        r1 = res
-                    v = top[1]
-                    # Inline mk(v, r0, r1).
-                    if mk_hooked:
-                        res = self.mk(v, r0, r1)
-                    elif r0 == r1:
-                        res = r0
-                    else:
-                        ukey = (v, r0, r1)
-                        res = unique_get(ukey)
-                        if res is None:
-                            if free:
-                                res = free.pop()
-                                var_a[res] = v
-                                low_a[res] = r0
-                                high_a[res] = r1
-                                ref[res] = 0
-                                pref[res] = 0
-                            else:
-                                res = len(var_a)
-                                var_a.append(v)
-                                low_a.append(r0)
-                                high_a.append(r1)
-                                ref.append(0)
-                                pref.append(0)
-                            unique[ukey] = res
-                            var_nodes[v].add(res)
-                            pref[r0] += 1
-                            pref[r1] += 1
-                            live = self._live_nodes + 1
-                            self._live_nodes = live
-                            if live > self.peak_live_nodes:
-                                self.peak_live_nodes = live
-                            n = self._budget_countdown
-                            if n is not None:
-                                if n > 0:
-                                    self._budget_countdown = n - 1
-                                else:
-                                    self._budget_poll("mk")
-                    if len(cache) >= limit:
-                        del cache[next(iter(cache))]
-                        evt += 1
-                    cache[top[0]] = res
-                else:
-                    return res
-        finally:
-            st = self._cs_and
-            st[0] += hits
-            st[1] += miss
-            st[2] += evt
+        return self._apply_slow(_OP_AND, f, g)
 
     def _or(self, f: int, g: int) -> int:
         if f == TRUE or g == TRUE:
@@ -929,206 +720,7 @@ class BddManager:
         if res is not None:
             self._cs_or[0] += 1
             return res
-        return self._or_slow(f, g)
-
-    def _or_slow(self, f: int, g: int) -> int:
-        cache = self._c_or
-        cache_get = cache.get
-        limit = self._cache_limit
-        var_a = self._var
-        low_a = self._low
-        high_a = self._high
-        v2l = self._var2level
-        unique = self._unique
-        unique_get = unique.get
-        var_nodes = self._var_nodes
-        pref = self._pref
-        ref = self._ref
-        free = self._free
-        # The fault injector (resilience.faults) patches the public mk
-        # as an instance attribute; route node creation through it so
-        # injected allocator faults still fire inside the loop.
-        mk_hooked = "mk" in self.__dict__
-        stack: List[list] = []
-        push = stack.append
-        pop = stack.pop
-        hits = 0
-        miss = 0
-        evt = 0
-        key = (f, g)
-        try:
-            while True:
-                miss += 1
-                vf = var_a[f]
-                vg = var_a[g]
-                lf = v2l[vf]
-                lg = v2l[vg]
-                if lf <= lg:
-                    v = vf
-                    f0 = low_a[f]
-                    f1 = high_a[f]
-                else:
-                    v = vg
-                    f0 = f1 = f
-                if lg <= lf:
-                    g0 = low_a[g]
-                    g1 = high_a[g]
-                else:
-                    g0 = g1 = g
-                if f0 == TRUE or g0 == TRUE:
-                    r0 = TRUE
-                elif f0 == FALSE:
-                    r0 = g0
-                elif g0 == FALSE or f0 == g0:
-                    r0 = f0
-                else:
-                    if f0 > g0:
-                        f0, g0 = g0, f0
-                    k0 = (f0, g0)
-                    r0 = cache_get(k0)
-                    if r0 is None:
-                        push([key, v, f1, g1, -1])
-                        f = f0
-                        g = g0
-                        key = k0
-                        continue
-                    hits += 1
-                if f1 == TRUE or g1 == TRUE:
-                    r1 = TRUE
-                elif f1 == FALSE:
-                    r1 = g1
-                elif g1 == FALSE or f1 == g1:
-                    r1 = f1
-                else:
-                    if f1 > g1:
-                        f1, g1 = g1, f1
-                    k1 = (f1, g1)
-                    r1 = cache_get(k1)
-                    if r1 is None:
-                        push([key, v, r0, 0, 0])
-                        f = f1
-                        g = g1
-                        key = k1
-                        continue
-                    hits += 1
-                if mk_hooked:
-                    res = self.mk(v, r0, r1)
-                elif r0 == r1:
-                    res = r0
-                else:
-                    ukey = (v, r0, r1)
-                    res = unique_get(ukey)
-                    if res is None:
-                        if free:
-                            res = free.pop()
-                            var_a[res] = v
-                            low_a[res] = r0
-                            high_a[res] = r1
-                            ref[res] = 0
-                            pref[res] = 0
-                        else:
-                            res = len(var_a)
-                            var_a.append(v)
-                            low_a.append(r0)
-                            high_a.append(r1)
-                            ref.append(0)
-                            pref.append(0)
-                        unique[ukey] = res
-                        var_nodes[v].add(res)
-                        pref[r0] += 1
-                        pref[r1] += 1
-                        live = self._live_nodes + 1
-                        self._live_nodes = live
-                        if live > self.peak_live_nodes:
-                            self.peak_live_nodes = live
-                        n = self._budget_countdown
-                        if n is not None:
-                            if n > 0:
-                                self._budget_countdown = n - 1
-                            else:
-                                self._budget_poll("mk")
-                if len(cache) >= limit:
-                    del cache[next(iter(cache))]
-                    evt += 1
-                cache[key] = res
-                while stack:
-                    top = stack[-1]
-                    if top[4] < 0:
-                        r0 = res
-                        f1 = top[2]
-                        g1 = top[3]
-                        if f1 == TRUE or g1 == TRUE:
-                            r1 = TRUE
-                        elif f1 == FALSE:
-                            r1 = g1
-                        elif g1 == FALSE or f1 == g1:
-                            r1 = f1
-                        else:
-                            if f1 > g1:
-                                f1, g1 = g1, f1
-                            k1 = (f1, g1)
-                            r1 = cache_get(k1)
-                            if r1 is None:
-                                top[2] = r0
-                                top[4] = 0
-                                f = f1
-                                g = g1
-                                key = k1
-                                break
-                            hits += 1
-                        pop()
-                    else:
-                        pop()
-                        r0 = top[2]
-                        r1 = res
-                    v = top[1]
-                    if mk_hooked:
-                        res = self.mk(v, r0, r1)
-                    elif r0 == r1:
-                        res = r0
-                    else:
-                        ukey = (v, r0, r1)
-                        res = unique_get(ukey)
-                        if res is None:
-                            if free:
-                                res = free.pop()
-                                var_a[res] = v
-                                low_a[res] = r0
-                                high_a[res] = r1
-                                ref[res] = 0
-                                pref[res] = 0
-                            else:
-                                res = len(var_a)
-                                var_a.append(v)
-                                low_a.append(r0)
-                                high_a.append(r1)
-                                ref.append(0)
-                                pref.append(0)
-                            unique[ukey] = res
-                            var_nodes[v].add(res)
-                            pref[r0] += 1
-                            pref[r1] += 1
-                            live = self._live_nodes + 1
-                            self._live_nodes = live
-                            if live > self.peak_live_nodes:
-                                self.peak_live_nodes = live
-                            n = self._budget_countdown
-                            if n is not None:
-                                if n > 0:
-                                    self._budget_countdown = n - 1
-                                else:
-                                    self._budget_poll("mk")
-                    if len(cache) >= limit:
-                        del cache[next(iter(cache))]
-                        evt += 1
-                    cache[top[0]] = res
-                else:
-                    return res
-        finally:
-            st = self._cs_or
-            st[0] += hits
-            st[1] += miss
-            st[2] += evt
+        return self._apply_slow(_OP_OR, f, g)
 
     def _xor(self, f: int, g: int) -> int:
         if f == g:
@@ -1147,10 +739,16 @@ class BddManager:
         if res is not None:
             self._cs_xor[0] += 1
             return res
-        return self._xor_slow(f, g)
+        return self._apply_slow(_OP_XOR, f, g)
 
-    def _xor_slow(self, f: int, g: int) -> int:
-        cache = self._c_xor
+    def _apply_slow(self, op: int, f: int, g: int) -> int:
+        # (f, g) is normalized and just missed op's segment.  A frame is
+        # [key, var, f1, g1, r0, parent]: r0 is -1 while the low pair is
+        # in flight, then the low result.  Frames link to their parent
+        # rather than sit on a list, which saves the append/pop calls
+        # every miss would pay (see docs/performance.md).
+        cattr, sattr, unit, is_xor = _APPLY_RULES[op]
+        cache = getattr(self, cattr)
         cache_get = cache.get
         limit = self._cache_limit
         _not = self._not
@@ -1164,19 +762,14 @@ class BddManager:
         pref = self._pref
         ref = self._ref
         free = self._free
-        # The fault injector (resilience.faults) patches the public mk
-        # as an instance attribute; route node creation through it so
-        # injected allocator faults still fire inside the loop.
-        mk_hooked = "mk" in self.__dict__
-        stack: List[list] = []
-        push = stack.append
-        pop = stack.pop
         hits = 0
         miss = 0
         evt = 0
         key = (f, g)
+        top = None
         try:
             while True:
+                # EXPAND the miss key = (f, g): push it, go low.
                 miss += 1
                 vf = var_a[f]
                 vg = var_a[g]
@@ -1194,130 +787,141 @@ class BddManager:
                     g1 = high_a[g]
                 else:
                     g0 = g1 = g
-                if f0 == g0:
-                    r0 = FALSE
-                elif f0 == FALSE:
-                    r0 = g0
-                elif g0 == FALSE:
-                    r0 = f0
-                elif f0 == TRUE:
-                    r0 = _not(g0)
-                elif g0 == TRUE:
-                    r0 = _not(f0)
-                else:
-                    if f0 > g0:
-                        f0, g0 = g0, f0
-                    k0 = (f0, g0)
-                    r0 = cache_get(k0)
-                    if r0 is None:
-                        push([key, v, f1, g1, -1])
-                        f = f0
-                        g = g0
-                        key = k0
-                        continue
-                    hits += 1
-                if f1 == g1:
-                    r1 = FALSE
-                elif f1 == FALSE:
-                    r1 = g1
-                elif g1 == FALSE:
-                    r1 = f1
-                elif f1 == TRUE:
-                    r1 = _not(g1)
-                elif g1 == TRUE:
-                    r1 = _not(f1)
-                else:
-                    if f1 > g1:
-                        f1, g1 = g1, f1
-                    k1 = (f1, g1)
-                    r1 = cache_get(k1)
-                    if r1 is None:
-                        push([key, v, r0, 0, 0])
-                        f = f1
-                        g = g1
-                        key = k1
-                        continue
-                    hits += 1
-                if mk_hooked:
-                    res = self.mk(v, r0, r1)
-                elif r0 == r1:
-                    res = r0
-                else:
-                    ukey = (v, r0, r1)
-                    res = unique_get(ukey)
-                    if res is None:
-                        if free:
-                            res = free.pop()
-                            var_a[res] = v
-                            low_a[res] = r0
-                            high_a[res] = r1
-                            ref[res] = 0
-                            pref[res] = 0
+                top = [key, v, f1, g1, -1, top]
+                f = f0
+                g = g0
+                while True:
+                    # RESOLVE (f, g) by a terminal rule or a cache hit.
+                    if f > g:
+                        f, g = g, f
+                    if f == g:
+                        res = FALSE if is_xor else f
+                    elif f <= TRUE:
+                        if f == unit:
+                            res = g
+                        elif is_xor:
+                            res = _not(g)
                         else:
-                            res = len(var_a)
-                            var_a.append(v)
-                            low_a.append(r0)
-                            high_a.append(r1)
-                            ref.append(0)
-                            pref.append(0)
-                        unique[ukey] = res
-                        var_nodes[v].add(res)
-                        pref[r0] += 1
-                        pref[r1] += 1
-                        live = self._live_nodes + 1
-                        self._live_nodes = live
-                        if live > self.peak_live_nodes:
-                            self.peak_live_nodes = live
-                        n = self._budget_countdown
-                        if n is not None:
-                            if n > 0:
-                                self._budget_countdown = n - 1
-                            else:
-                                self._budget_poll("mk")
-                if len(cache) >= limit:
-                    del cache[next(iter(cache))]
-                    evt += 1
-                cache[key] = res
-                while stack:
-                    top = stack[-1]
-                    if top[4] < 0:
-                        r0 = res
-                        f1 = top[2]
-                        g1 = top[3]
-                        if f1 == g1:
-                            r1 = FALSE
-                        elif f1 == FALSE:
-                            r1 = g1
-                        elif g1 == FALSE:
-                            r1 = f1
-                        elif f1 == TRUE:
-                            r1 = _not(g1)
-                        elif g1 == TRUE:
-                            r1 = _not(f1)
-                        else:
-                            if f1 > g1:
-                                f1, g1 = g1, f1
-                            k1 = (f1, g1)
-                            r1 = cache_get(k1)
-                            if r1 is None:
-                                top[2] = r0
-                                top[4] = 0
-                                f = f1
-                                g = g1
-                                key = k1
-                                break
-                            hits += 1
-                        pop()
+                            res = f
                     else:
-                        pop()
-                        r0 = top[2]
+                        key = (f, g)
+                        res = cache_get(key)
+                        if res is None:
+                            break
+                        hits += 1
+                    # UNWIND until a frame still needs its high pair.
+                    while True:
+                        r0 = top[4]
+                        if r0 < 0:
+                            top[4] = res
+                            f = top[2]
+                            g = top[3]
+                            break
+                        # Inline mk(v, r0, r1).
                         r1 = res
-                    v = top[1]
-                    if mk_hooked:
-                        res = self.mk(v, r0, r1)
-                    elif r0 == r1:
-                        res = r0
+                        if r0 != r1:
+                            v = top[1]
+                            ukey = (v, r0, r1)
+                            res = unique_get(ukey)
+                            if res is None:
+                                if free:
+                                    res = free.pop()
+                                    var_a[res] = v
+                                    low_a[res] = r0
+                                    high_a[res] = r1
+                                    ref[res] = 0
+                                    pref[res] = 0
+                                else:
+                                    res = len(var_a)
+                                    var_a.append(v)
+                                    low_a.append(r0)
+                                    high_a.append(r1)
+                                    ref.append(0)
+                                    pref.append(0)
+                                unique[ukey] = res
+                                var_nodes[v].add(res)
+                                pref[r0] += 1
+                                pref[r1] += 1
+                                live = self._live_nodes + 1
+                                self._live_nodes = live
+                                if live > self.peak_live_nodes:
+                                    self.peak_live_nodes = live
+                                n = self._budget_countdown
+                                if n is not None:
+                                    if n > 0:
+                                        self._budget_countdown = n - 1
+                                    else:
+                                        self._budget_poll("mk")
+                        if len(cache) >= limit:
+                            del cache[next(iter(cache))]
+                            evt += 1
+                        cache[top[0]] = res
+                        top = top[5]
+                        if top is None:
+                            return res
+        finally:
+            st = getattr(self, sattr)
+            st[0] += hits
+            st[1] += miss
+            st[2] += evt
+
+    def _not(self, f: int) -> int:
+        if f == FALSE:
+            return TRUE
+        if f == TRUE:
+            return FALSE
+        res = self._c_not.get(f)
+        if res is not None:
+            self._cs_not[0] += 1
+            return res
+        return self._negate_slow(f)
+
+    def _negate_slow(self, f: int) -> int:
+        # f is nonterminal and just missed the NOT segment.  A frame is
+        # [f, var, hi, r0, parent], linked like _apply_slow's: r0 is -1
+        # while the low child is in flight, then the low result.
+        cache = self._c_not
+        cache_get = cache.get
+        limit = self._cache_limit
+        var_a = self._var
+        low_a = self._low
+        high_a = self._high
+        unique = self._unique
+        unique_get = unique.get
+        var_nodes = self._var_nodes
+        pref = self._pref
+        ref = self._ref
+        free = self._free
+        hits = 0
+        miss = 0
+        evt = 0
+        top = None
+        try:
+            while True:
+                # EXPAND the miss f: push it, go low.
+                miss += 1
+                top = [f, var_a[f], high_a[f], -1, top]
+                f = low_a[f]
+                while True:
+                    # RESOLVE f by the terminal rule or a cache hit.
+                    if f <= TRUE:
+                        res = TRUE if f == FALSE else FALSE
                     else:
+                        res = cache_get(f)
+                        if res is None:
+                            break
+                        hits += 1
+                    # UNWIND until a frame still needs its high child.
+                    while True:
+                        r0 = top[3]
+                        if r0 < 0:
+                            top[3] = res
+                            f = top[2]
+                            break
+                        # Inline mk(v, r0, r1); negation never merges
+                        # children.
+                        v = top[1]
+                        r1 = res
                         ukey = (v, r0, r1)
                         res = unique_get(ukey)
                         if res is None:
@@ -1349,177 +953,13 @@ class BddManager:
                                     self._budget_countdown = n - 1
                                 else:
                                     self._budget_poll("mk")
-                    if len(cache) >= limit:
-                        del cache[next(iter(cache))]
-                        evt += 1
-                    cache[top[0]] = res
-                else:
-                    return res
-        finally:
-            st = self._cs_xor
-            st[0] += hits
-            st[1] += miss
-            st[2] += evt
-
-    def _not(self, f: int) -> int:
-        if f == FALSE:
-            return TRUE
-        if f == TRUE:
-            return FALSE
-        res = self._c_not.get(f)
-        if res is not None:
-            self._cs_not[0] += 1
-            return res
-        return self._not_slow(f)
-
-    def _not_slow(self, f: int) -> int:
-        cache = self._c_not
-        cache_get = cache.get
-        limit = self._cache_limit
-        var_a = self._var
-        low_a = self._low
-        high_a = self._high
-        unique = self._unique
-        unique_get = unique.get
-        var_nodes = self._var_nodes
-        pref = self._pref
-        ref = self._ref
-        free = self._free
-        # The fault injector (resilience.faults) patches the public mk
-        # as an instance attribute; route node creation through it so
-        # injected allocator faults still fire inside the loop.
-        mk_hooked = "mk" in self.__dict__
-        stack: List[list] = []
-        push = stack.append
-        pop = stack.pop
-        hits = 0
-        miss = 0
-        evt = 0
-        try:
-            while True:
-                # EXPAND: f is a nonterminal computed-table miss.
-                miss += 1
-                v = var_a[f]
-                c0 = low_a[f]
-                c1 = high_a[f]
-                if c0 == FALSE:
-                    r0 = TRUE
-                elif c0 == TRUE:
-                    r0 = FALSE
-                else:
-                    r0 = cache_get(c0)
-                    if r0 is None:
-                        push([f, v, c1, -1])
-                        f = c0
-                        continue
-                    hits += 1
-                if c1 == FALSE:
-                    r1 = TRUE
-                elif c1 == TRUE:
-                    r1 = FALSE
-                else:
-                    r1 = cache_get(c1)
-                    if r1 is None:
-                        push([f, v, r0, 0])
-                        f = c1
-                        continue
-                    hits += 1
-                # Inline mk(v, r0, r1); negation never merges children.
-                ukey = (v, r0, r1)
-                res = self.mk(v, r0, r1) if mk_hooked else unique_get(ukey)
-                if res is None:
-                    if free:
-                        res = free.pop()
-                        var_a[res] = v
-                        low_a[res] = r0
-                        high_a[res] = r1
-                        ref[res] = 0
-                        pref[res] = 0
-                    else:
-                        res = len(var_a)
-                        var_a.append(v)
-                        low_a.append(r0)
-                        high_a.append(r1)
-                        ref.append(0)
-                        pref.append(0)
-                    unique[ukey] = res
-                    var_nodes[v].add(res)
-                    pref[r0] += 1
-                    pref[r1] += 1
-                    live = self._live_nodes + 1
-                    self._live_nodes = live
-                    if live > self.peak_live_nodes:
-                        self.peak_live_nodes = live
-                    n = self._budget_countdown
-                    if n is not None:
-                        if n > 0:
-                            self._budget_countdown = n - 1
-                        else:
-                            self._budget_poll("mk")
-                if len(cache) >= limit:
-                    del cache[next(iter(cache))]
-                    evt += 1
-                cache[f] = res
-                while stack:
-                    top = stack[-1]
-                    if top[3] < 0:
-                        r0 = res
-                        c1 = top[2]
-                        if c1 == FALSE:
-                            r1 = TRUE
-                        elif c1 == TRUE:
-                            r1 = FALSE
-                        else:
-                            r1 = cache_get(c1)
-                            if r1 is None:
-                                top[2] = r0
-                                top[3] = 0
-                                f = c1
-                                break
-                            hits += 1
-                        pop()
-                    else:
-                        pop()
-                        r0 = top[2]
-                        r1 = res
-                    v = top[1]
-                    ukey = (v, r0, r1)
-                    res = self.mk(v, r0, r1) if mk_hooked else unique_get(ukey)
-                    if res is None:
-                        if free:
-                            res = free.pop()
-                            var_a[res] = v
-                            low_a[res] = r0
-                            high_a[res] = r1
-                            ref[res] = 0
-                            pref[res] = 0
-                        else:
-                            res = len(var_a)
-                            var_a.append(v)
-                            low_a.append(r0)
-                            high_a.append(r1)
-                            ref.append(0)
-                            pref.append(0)
-                        unique[ukey] = res
-                        var_nodes[v].add(res)
-                        pref[r0] += 1
-                        pref[r1] += 1
-                        live = self._live_nodes + 1
-                        self._live_nodes = live
-                        if live > self.peak_live_nodes:
-                            self.peak_live_nodes = live
-                        n = self._budget_countdown
-                        if n is not None:
-                            if n > 0:
-                                self._budget_countdown = n - 1
-                            else:
-                                self._budget_poll("mk")
-                    if len(cache) >= limit:
-                        del cache[next(iter(cache))]
-                        evt += 1
-                    cache[top[0]] = res
-                else:
-                    return res
+                        if len(cache) >= limit:
+                            del cache[next(iter(cache))]
+                            evt += 1
+                        cache[top[0]] = res
+                        top = top[4]
+                        if top is None:
+                            return res
         finally:
             st = self._cs_not
             st[0] += hits
@@ -1665,11 +1105,6 @@ class BddManager:
             st[0] += hits
             st[1] += miss
             st[2] += evt
-
-    def _cofactors_at(self, f: int, level: int) -> Tuple[int, int]:
-        if self._node_level(f) == level:
-            return self._low[f], self._high[f]
-        return f, f
 
     # ------------------------------------------------------------------
     # Quantification

@@ -63,8 +63,11 @@ def swap_adjacent_levels(mgr: BddManager, level: int) -> int:
 def _swap_unchecked(mgr: BddManager, level: int) -> int:
     # Sifting spends most of its time here, so the loop binds every
     # manager structure to a local and inlines both the node-creating
-    # half of ``mk`` and the ``_free_node`` cascade.  The duplicate-node
-    # assert runs only under ``debug_checks``.
+    # half of ``mk`` and the ``_free_node`` cascade.  The inlined
+    # creations do not touch the budget countdown: the caller detaches
+    # any budget, and the fault injector, which arms the countdown
+    # without one, must not fire from a half-rebuilt level.  The
+    # duplicate-node assert runs only under ``debug_checks``.
     u = mgr._level2var[level]
     v = mgr._level2var[level + 1]
     var_arr = mgr._var
@@ -135,13 +138,6 @@ def _swap_unchecked(mgr: BddManager, level: int) -> int:
                 live += 1
                 if live > peak:
                     peak = live
-                cd = mgr._budget_countdown
-                if cd is not None:
-                    if cd > 0:
-                        mgr._budget_countdown = cd - 1
-                    else:
-                        mgr._live_nodes = live
-                        mgr._budget_poll("mk")
         # Inline mk(u, f01, f11).
         if f01 == f11:
             g1 = f01
@@ -170,13 +166,6 @@ def _swap_unchecked(mgr: BddManager, level: int) -> int:
                 live += 1
                 if live > peak:
                     peak = live
-                cd = mgr._budget_countdown
-                if cd is not None:
-                    if cd > 0:
-                        mgr._budget_countdown = cd - 1
-                    else:
-                        mgr._live_nodes = live
-                        mgr._budget_poll("mk")
         # Mutate n in place: it now tests v first.
         key = (v, g0, g1)
         if debug:

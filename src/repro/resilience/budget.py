@@ -162,19 +162,6 @@ class Budget:
             self.next_check_at = self.steps + self.check_interval
             self.slow_check(where)
 
-    def tick_node(self, live_nodes: int, where: str = "mk") -> None:
-        """Charge one node creation; node limit checked every call."""
-        max_nodes = self.max_live_nodes
-        if max_nodes is not None and live_nodes > max_nodes:
-            raise BudgetExceededError(
-                "live_nodes", where, live_nodes, max_nodes,
-                steps=self.steps, elapsed=self.elapsed())
-        steps = self.steps + 1
-        self.steps = steps
-        if steps >= self.next_check_at:
-            self.next_check_at = steps + self.check_interval
-            self.slow_check(where)
-
     def trip_nodes(self, live_nodes: int, where: str = "mk") -> None:
         """Raise the node-limit error (cold path for inlined callers).
 

@@ -67,28 +67,44 @@ class FaultPlan:
 
 @contextmanager
 def inject_mk_memory_error(manager, at_call: int) -> Iterator[List[int]]:
-    """Raise ``MemoryError`` from the manager's ``at_call``-th ``mk``.
+    """Raise ``MemoryError`` at the manager's ``at_call``-th governed event.
 
     Simulates the allocator failing mid-operation — the manager must
-    stay consistent (the failed node was never inserted) and the caller
-    must degrade, not crash.  Yields a one-element call-counter list.
+    stay consistent and the caller must degrade, not crash.  The seam
+    is the budget countdown every kernel already polls: a governed
+    event is a node creation (``mk`` or a kernel's inlined copy of it)
+    or one ITE, quantification or relational-product step.  A creation
+    fails after its node is inserted, a step before it pushes work, so
+    every invariant holds at the raise.
+
+    The injector borrows the countdown, so it refuses a manager with a
+    budget attached; on exit the seam is reset with ``set_budget(None)``.
+    Yields a one-element counter of the governed events seen: exactly
+    ``at_call`` once the fault fired, and final once the context exits.
     """
     if at_call < 1:
         raise ValueError("at_call is 1-based")
-    original = manager.mk
+    if manager.budget is not None:
+        raise ValueError("inject_mk_memory_error borrows the budget "
+                         "countdown; detach the budget first")
     calls = [0]
 
-    def faulty_mk(var: int, low: int, high: int) -> int:
-        calls[0] += 1
-        if calls[0] == at_call:
-            raise MemoryError("injected: mk call %d" % at_call)
-        return original(var, low, high)
+    def fail(where: str) -> None:
+        calls[0] = at_call
+        manager._budget_countdown = None  # fire once
+        raise MemoryError("injected: governed event %d (%s)"
+                          % (at_call, where))
 
-    manager.mk = faulty_mk
+    manager._budget_poll = fail
+    manager._budget_countdown = at_call - 1
     try:
         yield calls
     finally:
-        del manager.mk
+        left = manager._budget_countdown
+        if left is not None:
+            calls[0] = at_call - 1 - left
+        del manager._budget_poll
+        manager.set_budget(None)
 
 
 @contextmanager

@@ -122,6 +122,58 @@ def test_legacy_matches_through_gc_and_reorder(program):
     assert current.manager.invariant_violations() == []
 
 
+#: Work counters of the pinned program below: per-op (hits, misses,
+#: evictions), then (peak live nodes, GC runs, budget steps).  Journals
+#: report cache hits/misses per check and the portfolio races on budget
+#: steps, so a kernel rewrite must reproduce these exactly; the legacy
+#: oracle above pins node ids but not these.  The 64-entry table makes
+#: every segment evict.
+_PINNED_WORK = {
+    "default": (
+        {"and": (1177, 1241, 0), "or": (1555, 1904, 0),
+         "xor": (1641, 2302, 0), "not": (942, 748, 0),
+         "ite": (14624, 21547, 0), "exists": (1, 120, 0),
+         "forall": (0, 255, 0), "compose": (554, 573, 0),
+         "restrict": (272, 499, 0), "and_exists": (841, 979, 0)},
+        (16416, 2, 39065)),
+    "bounded64": (
+        {"and": (1809, 1677, 1613), "or": (2175, 2900, 2836),
+         "xor": (1956, 3321, 3257), "not": (1859, 1069, 1005),
+         "ite": (18576, 32667, 32603), "exists": (1, 120, 56),
+         "forall": (0, 255, 191), "compose": (701, 805, 741),
+         "restrict": (301, 602, 538), "and_exists": (981, 1401, 1337)},
+        (16416, 2, 50630)),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_PINNED_WORK))
+def test_work_counters_pinned(config):
+    """alu4 plus one of every operation: exact per-op cache traffic."""
+    from repro.generators.alu import alu4_like
+    from repro.resilience.budget import Budget
+    from repro.sim.symbolic import symbolic_simulate
+
+    bdd = Bdd(cache_config=(CacheConfig(segment_entries=64)
+                            if config == "bounded64" else None))
+    budget = Budget(max_live_nodes=10**9)
+    bdd.set_budget(budget)
+    outs = list(symbolic_simulate(alu4_like(), bdd).values())
+    f, g, h = outs[5], outs[6], outs[7]
+    kept = [f ^ g, ~h, f.ite(g, h), f.exists(["b2", "a3"]),
+            g.forall(["a2", "b3"]), f.and_exists(g, ["a1", "b1", "sel1"]),
+            g.restrict({"a3": True, "sel0": False}),
+            f.compose({"b1": g, "cin": h})]
+    bdd.collect_garbage()
+    bdd.reorder()
+    ops = {name: (s["hits"], s["misses"], s["evictions"])
+           for name, s in bdd.cache_stats()["ops"].items()}
+    manager = bdd.manager
+    assert (ops, (manager.peak_live_nodes, manager.n_gc_runs,
+                  budget.steps)) == _PINNED_WORK[config]
+    assert [k.node for k in kept] == [4309, 4432, 1204, 4599, 4943, 0,
+                                      5066, 16415]
+
+
 class TestEviction:
     def test_segment_respects_bound_and_counts_evictions(self):
         bdd = _fresh(CacheConfig(segment_entries=4))

@@ -16,7 +16,8 @@ from repro.experiments.runner import ExperimentConfig
 from repro.jobs import (JournalWriteError, JournalWriter,
                         enumerate_cases, read_journal, run_campaign)
 from repro.jobs.spec import CaseSpec
-from repro.resilience import (FaultPlan, InjectedFault, crashy_stub_task,
+from repro.resilience import (Budget, FaultPlan, InjectedFault,
+                              crashy_stub_task,
                               inject_journal_fault,
                               inject_mk_memory_error,
                               inject_reorder_abort, planned_crash)
@@ -54,24 +55,68 @@ class TestFaultPlan:
             plan.trigger("x", 3, 3)
 
 
+def _fault_operands(xs):
+    """Three 8-variable functions with interleaved (costly) support."""
+    a, b, c, d, e, f, g, h = xs
+    p = (a & e) ^ (b & f) ^ (c & g) ^ (d & h)
+    q = (a | h) & (b | g) & (c | f) & (d | e)
+    r = (a & ~c) | (b ^ f) | (d & e) | (g & ~h)
+    return p, q, r
+
+
+def _and_or_chain(bdd, xs, p, q, r):
+    acc = bdd.true
+    for i, x in enumerate(xs):
+        acc = acc & (x | xs[(i + 2) % len(xs)])
+    return acc
+
+
+#: One program per kernel family; each makes at least 20 governed
+#: events (node creations, ITE / quantification steps), past the
+#: plan's trigger range.
+_FAULT_PROGRAMS = {
+    "and_or": _and_or_chain,
+    "xor": lambda bdd, xs, p, q, r: p ^ q,
+    "not": lambda bdd, xs, p, q, r: ~p,
+    "ite": lambda bdd, xs, p, q, r: p.ite(q, r),
+    "and_exists": lambda bdd, xs, p, q, r: p.and_exists(q, ["b", "g"]),
+    "compose": lambda bdd, xs, p, q, r: p.compose({"a": q, "f": r}),
+}
+
+
 class TestMkMemoryError:
-    def test_manager_consistent_after_allocator_death(self):
+    @pytest.mark.parametrize("kernel", list(_FAULT_PROGRAMS))
+    def test_manager_consistent_after_allocator_death(self, kernel):
+        program = _FAULT_PROGRAMS[kernel]
+        clean = Bdd()
+        xs = clean.add_vars("abcdefgh")
+        expected = program(clean, xs, *_fault_operands(xs)).sat_count()
+
         bdd = Bdd()
-        xs = bdd.add_vars("abcdef")
+        xs = bdd.add_vars("abcdefgh")
+        operands = _fault_operands(xs)
         plan = FaultPlan.for_case(_some_case())
         at_call = plan.trigger("mk-oom", 2, 20)
         with inject_mk_memory_error(bdd.manager, at_call) as calls:
             with pytest.raises(MemoryError):
-                acc = bdd.true
-                for i, x in enumerate(xs):
-                    acc = acc & (x | xs[(i + 2) % len(xs)])
+                program(bdd, xs, *operands)
         assert calls[0] == at_call
         assert bdd.manager.invariant_violations() == []
         # The seam is restored and the manager fully usable.
+        assert bdd.manager._budget_countdown is None
+        assert program(bdd, xs, *operands).sat_count() == expected
         conj = bdd.true
         for x in xs:
             conj = conj & x
-        assert conj.sat_count(nvars=6) == 1
+        assert conj.sat_count() == 1
+
+    def test_refuses_a_manager_with_a_budget(self):
+        bdd = Bdd()
+        bdd.set_budget(Budget(max_live_nodes=100))
+        with pytest.raises(ValueError):
+            with inject_mk_memory_error(bdd.manager, 3):
+                pass
+        assert bdd.manager.budget is not None
 
     def test_worker_degrades_mk_oom_to_error_record(self, monkeypatch):
         # An organic MemoryError inside a check must yield an ERROR
