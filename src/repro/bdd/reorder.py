@@ -41,7 +41,9 @@ def swap_adjacent_levels(mgr: BddManager, level: int) -> int:
     An attached budget is checked once *before* any mutation — the only
     safe point — and detached for the duration of the swap, so a
     :class:`~repro.resilience.budget.BudgetExceededError` can never
-    surface from a half-rebuilt level.
+    surface from a half-rebuilt level.  Without a budget the countdown
+    is parked instead: the fault injector arms it on its own, and the
+    legacy swap creates nodes through ``mk``, which polls it.
     """
     if not 0 <= level < mgr.num_vars - 1:
         raise ValueError("level %d out of range" % level)
@@ -49,6 +51,8 @@ def swap_adjacent_levels(mgr: BddManager, level: int) -> int:
     if budget is not None:
         budget.checkpoint("reorder", live_nodes=mgr._live_nodes)
         mgr.set_budget(None)
+    else:
+        countdown, mgr._budget_countdown = mgr._budget_countdown, None
     # Manager subclasses may pin their own swap implementation (the
     # legacy reference manager keeps the historic one so before/after
     # benchmarks measure the true pre-rewrite code path).
@@ -58,6 +62,8 @@ def swap_adjacent_levels(mgr: BddManager, level: int) -> int:
     finally:
         if budget is not None:
             mgr.set_budget(budget)
+        else:
+            mgr._budget_countdown = countdown
 
 
 def _swap_unchecked(mgr: BddManager, level: int) -> int:

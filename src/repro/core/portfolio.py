@@ -8,8 +8,8 @@ while deep reconvergence can stall the SAT search — so the portfolio
 runs both and keeps the first answer.
 
 A wall-clock race would make the winner depend on machine load, and the
-campaign layer promises byte-identical journals for serial, ``--jobs N``
-and ``--shards N`` runs.  The race is therefore *iterative deepening
+campaign layer promises that serial and ``--jobs N`` journals match
+byte for byte, timings aside.  The race is therefore *iterative deepening
 over deterministic step budgets*: each engine in turn gets a
 :class:`~repro.resilience.budget.Budget` slice of ``max_steps`` steps
 (SAT charges one step per propagated literal, the BDD manager one per

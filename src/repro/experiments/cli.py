@@ -138,19 +138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="worker processes for the campaign "
                              "(default 1 = in-process serial; results "
                              "are bit-identical either way)")
-    parser.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="run the campaign on a supervised fleet "
-                             "of N shard processes with work-stealing "
-                             "and crash recovery (docs/parallel.md); "
-                             "shard journals live in "
-                             "<journal>.fleet/; results are "
-                             "bit-identical to a serial run; mutually "
-                             "exclusive with --jobs")
-    parser.add_argument("--no-steal", action="store_true",
-                        help="disable work-stealing between shards "
-                             "(with --shards); every case runs on its "
-                             "home shard unless its shard dies, which "
-                             "makes fault drills deterministic")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-case wall-clock deadline; an overdue "
@@ -218,20 +205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.shards < 0:
-        parser.error("--shards must be >= 1 (0 disables the fleet)")
-    if args.shards and args.jobs > 1:
-        parser.error("--shards and --jobs are mutually exclusive: "
-                     "with a fleet, parallelism is the shard count")
-    if args.no_steal and not args.shards:
-        parser.error("--no-steal requires --shards")
-    fleet_config = None
-    if args.no_steal:
-        from ..fleet import FleetConfig
-
-        # from_env keeps REPRO_FLEET_HEARTBEAT pacing applicable (the
-        # CI fault drills set both).
-        fleet_config = FleetConfig.from_env(steal=False)
     if args.timeout is not None and args.timeout <= 0:
         parser.error("--timeout must be positive")
     if args.soft_timeout is not None and args.soft_timeout <= 0:
@@ -287,9 +260,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     timeout=args.timeout, journal=args.journal,
                     resume=args.resume,
                     node_limit=args.node_limit,
-                    soft_timeout=args.soft_timeout,
-                    shards=args.shards,
-                    fleet_config=fleet_config)
+                    soft_timeout=args.soft_timeout)
             except KeyboardInterrupt:
                 return _interrupted(progress_done, args)
             except JournalWriteError as exc:
@@ -325,8 +296,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         rows = run_table(config, progress=progress, jobs=args.jobs,
                          timeout=args.timeout, journal=args.journal,
-                         resume=args.resume, shards=args.shards,
-                         fleet_config=fleet_config)
+                         resume=args.resume)
     except KeyboardInterrupt:
         return _interrupted(progress_done, args)
     except JournalWriteError as exc:

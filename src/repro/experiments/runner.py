@@ -349,28 +349,21 @@ def run_table(config: ExperimentConfig,
               jobs: int = 1,
               timeout: Optional[float] = None,
               journal: Optional[str] = None,
-              resume: Optional[str] = None,
-              shards: int = 0,
-              fleet_config=None) -> List[BenchmarkRow]:
+              resume: Optional[str] = None) -> List[BenchmarkRow]:
     """Run the campaign for every benchmark (one table of the paper).
 
-    ``jobs``/``timeout``/``journal``/``resume``/``shards`` route
-    execution through the :mod:`repro.jobs` engine (parallel workers,
-    per-case deadlines, checkpoint/resume, or the supervised shard
-    fleet); the defaults keep the historic in-process serial path.
-    All paths aggregate identically.  ``fleet_config`` (a
-    :class:`repro.fleet.FleetConfig`) overrides fleet supervision
-    knobs — ``--no-steal`` and drill pacing come through here.
+    ``jobs``/``timeout``/``journal``/``resume`` route execution through
+    the :mod:`repro.jobs` engine (parallel workers, per-case deadlines,
+    checkpoint/resume); the defaults keep the historic in-process
+    serial path.  All paths aggregate identically.
     """
     names = list(config.benchmarks or BENCHMARK_FACTORIES)
-    if jobs > 1 or shards or timeout is not None or journal or resume:
+    if jobs > 1 or timeout is not None or journal or resume:
         from ..jobs.engine import run_campaign
 
         result = run_campaign(config, benchmarks=names, jobs=jobs,
                               timeout=timeout, journal=journal,
-                              resume=resume, progress=progress,
-                              shards=shards,
-                              fleet_config=fleet_config)
+                              resume=resume, progress=progress)
         return [result.rows[name] for name in names]
     rows: List[BenchmarkRow] = []
     for name in names:

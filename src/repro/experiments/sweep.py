@@ -41,20 +41,17 @@ def run_fraction_sweep(name: str, spec: Circuit,
                        journal: Optional[str] = None,
                        resume: Optional[str] = None,
                        node_limit: Optional[int] = None,
-                       soft_timeout: Optional[float] = None,
-                       shards: int = 0,
-                       fleet_config=None)\
+                       soft_timeout: Optional[float] = None)\
         -> List[SweepPoint]:
     """Detection ratio per check over a range of boxed fractions.
 
-    ``jobs``/``timeout``/``journal``/``resume``/``shards`` route each
-    fraction's campaign through the :mod:`repro.jobs` engine; one
-    journal can hold the whole sweep, since the boxed fraction is part
-    of every case key.  On the parallel/fleet path ``name`` must be a
-    factory benchmark (workers rebuild the spec by name).
+    ``jobs``/``timeout``/``journal``/``resume`` route each fraction's
+    campaign through the :mod:`repro.jobs` engine; one journal can hold
+    the whole sweep, since the boxed fraction is part of every case
+    key.  On the parallel path ``name`` must be a factory benchmark
+    (workers rebuild the spec by name).
     """
-    use_engine = jobs > 1 or shards or timeout is not None \
-        or journal or resume
+    use_engine = jobs > 1 or timeout is not None or journal or resume
     points: List[SweepPoint] = []
     for fraction in fractions:
         config = ExperimentConfig(
@@ -68,9 +65,7 @@ def run_fraction_sweep(name: str, spec: Circuit,
             row = run_campaign(config, benchmarks=[name], jobs=jobs,
                                timeout=timeout, journal=journal,
                                resume=resume, progress=progress,
-                               spec_overrides={name: spec},
-                               shards=shards,
-                               fleet_config=fleet_config).rows[name]
+                               spec_overrides={name: spec}).rows[name]
         else:
             row = run_benchmark_row(name, spec, config,
                                     progress=progress)

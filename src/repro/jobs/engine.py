@@ -9,8 +9,14 @@ parallel paths share.  The flow is:
    case key matches the current campaign is kept — only the remainder
    executes;
 3. pending cases run inline (``jobs == 1`` and no timeout) or on the
-   spawn pool (:mod:`repro.jobs.pool`); each finished case is appended
-   to the journal immediately, so a crash loses at most in-flight work;
+   spawn pool (:mod:`repro.jobs.pool`); finished cases are appended to
+   the journal in canonical case order.  A case that finishes before
+   an earlier one waits in memory until its predecessors are written,
+   so a serial and a ``--jobs N`` journal match byte for byte except
+   for the measured ``seconds`` fields.  An exception or Ctrl-C writes
+   the waiting records before the journal closes; a SIGKILL of the
+   driver loses the cases in flight plus the finished cases still
+   waiting on an earlier one;
 4. :mod:`repro.jobs.aggregate` folds all records — resumed and fresh —
    into table rows in canonical order, making serial, parallel and
    resumed runs aggregate identically.
@@ -72,9 +78,7 @@ def run_campaign(config: "ExperimentConfig",
                  progress: Optional[Callable[[str], None]] = None,
                  spec_overrides: Optional[Dict[str, "Circuit"]] = None,
                  task: Optional[Callable] = None,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                 shards: int = 0,
-                 fleet_config=None)\
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS)\
         -> CampaignResult:
     """Run (or finish) a campaign; see the module docstring.
 
@@ -84,19 +88,6 @@ def run_campaign(config: "ExperimentConfig",
         ``jobs > 1`` or any ``timeout`` routes execution through the
         spawn pool; a timeout with ``jobs=1`` still uses one pooled
         worker so runaway checks can be killed from outside.
-    shards:
-        ``shards >= 1`` routes execution through the supervised fleet
-        (:func:`repro.fleet.run_fleet`) instead: the case space is
-        partitioned by case key into that many shard processes with
-        work-stealing and whole-shard crash recovery.  Shard journals
-        and leases live in ``<journal>.fleet/`` (a temporary directory
-        without ``journal``); merged records are appended to the
-        campaign journal in canonical order, so the journal bytes
-        match a serial run.  ``timeout`` becomes the fleet's per-case
-        deadline and ``max_attempts`` its per-case retry bound;
-        mutually exclusive with ``jobs > 1``.  ``fleet_config``
-        (a :class:`repro.fleet.FleetConfig`) overrides supervision
-        pacing (heartbeats, backoff) for tests and drills.
     journal / resume:
         ``journal`` appends every finished case to a JSONL checkpoint.
         ``resume`` replays an existing journal first; new records are
@@ -110,10 +101,6 @@ def run_campaign(config: "ExperimentConfig",
     task:
         Test hook: replaces :func:`repro.jobs.worker.execute_case`.
     """
-    if shards and jobs > 1:
-        raise ValueError("--shards and --jobs are mutually exclusive: "
-                         "a shard executes inline and parallelism "
-                         "comes from the shard count")
     start = time.monotonic()
     cases = enumerate_cases(config, benchmarks)
     done: Dict[tuple, CaseRecord] = {}
@@ -133,36 +120,25 @@ def run_campaign(config: "ExperimentConfig",
             writer.write(record)
 
     total = len(cases)
-    finished = [resumed]
+    written = 0  # pending[:written] are in the journal
 
-    def emit(record: CaseRecord, announce: bool = True) -> None:
+    def emit(record: CaseRecord) -> None:
+        nonlocal written
         done[record.case.key] = record
-        finished[0] += 1
-        if writer is not None:
-            writer.write(record)
-        if announce and progress is not None:
-            progress("[%d/%d] %s %s (worker %d)"
-                     % (finished[0], total, record.case.describe(),
-                        record.outcome, record.worker))
+        if progress is not None:
+            progress("[%d/%d] %s %s" % (len(done), total,
+                                        record.case.describe(),
+                                        record.outcome))
+        # The reorder buffer is ``done`` itself: write every record
+        # whose predecessors in ``pending`` are all written.
+        while written < len(pending) and pending[written].key in done:
+            if writer is not None:
+                writer.write(done[pending[written].key])
+            written += 1
 
     try:
         if pending:
-            if shards:
-                from ..fleet import run_fleet
-                fleet_dir = (journal_path + ".fleet") if journal_path \
-                    else None
-                merged = run_fleet(pending, shards=shards,
-                                   base_dir=fleet_dir,
-                                   config=fleet_config,
-                                   task=task, progress=progress,
-                                   case_timeout=timeout,
-                                   max_retries=max_attempts)
-                # The supervisor already narrated progress live; here
-                # the merged records land in the campaign journal in
-                # canonical order, byte-identical to a serial run.
-                for case in pending:
-                    emit(merged[case.key], announce=False)
-            elif jobs > 1 or timeout is not None:
+            if jobs > 1 or timeout is not None:
                 run_parallel(pending, jobs=jobs, timeout=timeout,
                              task=task, on_record=emit,
                              max_attempts=max_attempts)
@@ -177,7 +153,15 @@ def run_campaign(config: "ExperimentConfig",
                     emit(record)
     finally:
         if writer is not None:
-            writer.close()
+            try:
+                # Cut short (an exception or Ctrl-C): keep the finished
+                # records still waiting on an unfinished predecessor.
+                # Resume dedups by case key, so their order is moot.
+                for case in pending[written:]:
+                    if case.key in done:
+                        writer.write(done[case.key])
+            finally:
+                writer.close()
 
     records = [done[case.key] for case in cases]
     rows = fold_records(records, checks=config.checks)

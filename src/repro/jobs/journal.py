@@ -14,7 +14,7 @@ Record format (version 1)::
               "fraction": 0.1, "num_boxes": 1, "patterns": 500,
               "seed": 2001, "checks": ["r.p.", "0,1,X", ...]},
      "outcome": "ok" | "timeout" | "error",
-     "seconds": 1.84, "worker": 2, "attempt": 1,
+     "seconds": 1.84, "worker": 0, "attempt": 1,
      "spec": {"inputs": 14, "outputs": 8, "nodes": 1083},
      "mutation": "change_gate_type at gate 'n42'",
      "checks": {"ie": {"outcome": "ok", "error_found": true,

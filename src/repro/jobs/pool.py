@@ -19,7 +19,15 @@ Design notes
   record is emitted for its case, and a fresh worker takes the slot.
 * **Crash != timeout.**  A worker that dies *without* hitting the
   deadline (segfault, OOM kill) gets its case retried on a fresh worker
-  up to ``max_attempts`` times, then a terminal ``ERROR`` record.
+  up to ``max_attempts`` times, then a terminal ``ERROR`` record.  The
+  retry goes to the front of the queue, so the campaign journal's
+  reorder buffer (:mod:`repro.jobs.engine`) is not held back by it.
+* **Records do not name their worker.**  A record keeps the ``worker``
+  and ``attempt`` values its task gave it, so its bytes do not depend
+  on which worker ran it or whether a retry was needed, and a
+  ``--jobs N`` journal matches a serial one byte for byte, timings
+  aside.  Only the terminal ``TIMEOUT``/``ERROR`` records the pool
+  builds itself, which have no serial twin, carry slot and attempt.
 """
 
 from __future__ import annotations
@@ -200,8 +208,8 @@ class WorkerPool:
         self._aborted = False
         self._slots: List[_Slot] = []
         #: Monotone counters: workers that died mid-case (crash) and
-        #: workers SIGKILLed at the hard deadline.  The fleet's slot
-        #: governor (:class:`repro.fleet.slots.SlotFleet`) reads these
+        #: workers SIGKILLed at the hard deadline.  The service's slot
+        #: governor (:class:`repro.serve.slots.SlotFleet`) reads these
         #: to throttle crash-looping slots with backoff.
         self.crashes = 0
         self.timeout_kills = 0
@@ -311,7 +319,7 @@ class WorkerPool:
                     self.crashes += 1
                     slot.kill_and_respawn()
                     if attempt < max_attempts:
-                        pending.append((case, attempt + 1))
+                        pending.appendleft((case, attempt + 1))
                     else:
                         emit(codec.failed(
                             case,
@@ -320,9 +328,7 @@ class WorkerPool:
                             seconds=elapsed, worker=slot.slot_id,
                             attempt=attempt))
                     continue
-                case, attempt, _ = slot.take_case()
-                record.worker = slot.slot_id
-                record.attempt = attempt
+                slot.take_case()
                 emit(record)
             if timeout and not self._aborted:
                 now = time.monotonic()

@@ -13,37 +13,15 @@ parallel engine (:mod:`repro.jobs.engine`) is built on.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+from ..seeds import _canon, derive_seed  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..experiments.runner import ExperimentConfig
 
 __all__ = ["CaseSpec", "derive_seed", "enumerate_cases"]
-
-
-def _canon(part: object) -> str:
-    """Canonical text form of one seed coordinate.
-
-    ``repr`` for floats so 0.1 survives a JSON round trip unchanged;
-    plain ``str`` for ints/strings.
-    """
-    if isinstance(part, float):
-        return repr(part)
-    return str(part)
-
-
-def derive_seed(*coords: object) -> int:
-    """A 64-bit seed derived purely from coordinates (SHA-256 based).
-
-    Unlike the builtin ``hash`` this is stable across processes and
-    Python versions (no hash randomisation), which is what makes journal
-    resume and cross-worker reproducibility possible.
-    """
-    text = "\x1f".join(_canon(c) for c in coords)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass(frozen=True)

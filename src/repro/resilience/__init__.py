@@ -12,24 +12,19 @@ Layers (see ``docs/robustness.md``):
   completed verdict;
 * :mod:`~repro.resilience.faults` — deterministic fault injection
   (allocator failure in ``mk``, worker crashes, journal ENOSPC / torn
-  writes, mid-reorder aborts, and shard-level fleet faults: kill at
-  case k, heartbeat blackhole, lease contention, torn shard journal)
-  so every recovery path is provable;
+  writes, mid-reorder aborts) so every recovery path is provable;
 * :mod:`~repro.resilience.backoff` — :class:`BackoffPolicy`, capped
-  exponential backoff with *seeded* jitter, shared by the fleet
-  supervisor, the serve executor and the service client so retry
-  schedules are reproducible.
+  exponential backoff with *seeded* jitter, shared by the serve slot
+  layer and the service client so retry schedules are reproducible.
 """
 
 from .backoff import BackoffPolicy
 from .budget import Budget, BudgetExceededError
 from .degrade import (describe_strongest, inconclusive_result,
                       strongest_completed)
-from .faults import (FLEET_FAULTS_ENV, FaultPlan, FleetFaultPlan,
-                     InjectedFault, crashy_stub_task,
-                     inject_journal_fault, inject_lease_contention,
-                     inject_mk_memory_error, inject_reorder_abort,
-                     planned_crash, tear_journal_tail)
+from .faults import (FaultPlan, InjectedFault, crashy_stub_task,
+                     inject_journal_fault, inject_mk_memory_error,
+                     inject_reorder_abort, planned_crash)
 
 __all__ = [
     "BackoffPolicy",
@@ -39,14 +34,10 @@ __all__ = [
     "strongest_completed",
     "describe_strongest",
     "FaultPlan",
-    "FleetFaultPlan",
-    "FLEET_FAULTS_ENV",
     "InjectedFault",
     "inject_mk_memory_error",
     "inject_reorder_abort",
     "inject_journal_fault",
-    "inject_lease_contention",
-    "tear_journal_tail",
     "crashy_stub_task",
     "planned_crash",
 ]

@@ -1,13 +1,12 @@
 """Deterministic capped exponential backoff.
 
-One policy object shared by every retry path in the tree — the fleet
-supervisor rescheduling cases off a dead shard
-(:mod:`repro.fleet.supervisor`), the serve executor throttling a
-crash-looping worker slot (:mod:`repro.fleet.slots`) and the blocking
-service client honouring ``Retry-After`` (:mod:`repro.serve.client`).
+One policy object shared by every retry path in the tree — the serve
+executor throttling a crash-looping worker slot
+(:mod:`repro.serve.slots`) and the blocking service client honouring
+``Retry-After`` (:mod:`repro.serve.client`).
 
 The jitter is *seeded*: it comes from
-:func:`repro.jobs.spec.derive_seed` over ``(seed, "backoff", attempt)``,
+:func:`repro.seeds.derive_seed` over ``(seed, "backoff", attempt)``,
 never from ``random``.  Two processes configured with the same policy
 therefore compute the same delays, which is what lets tests assert
 exact retry schedules and keeps recovery replayable from journals.
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..jobs.spec import derive_seed
+from ..seeds import derive_seed
 
 __all__ = ["BackoffPolicy"]
 

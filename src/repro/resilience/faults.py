@@ -9,8 +9,8 @@ injector is a context manager that patches exactly one seam, fires at a
 deterministic trigger point, and restores the seam on exit.
 
 Trigger points are derived from coordinates via
-:func:`repro.jobs.spec.derive_seed` (the same SHA-256 scheme the
-campaign engine uses), so a fault schedule is a pure function of the
+:func:`repro.seeds.derive_seed` (the same SHA-256 scheme the campaign
+engine uses), so a fault schedule is a pure function of the
 case it torments — stable across processes, machines and Python
 versions.
 
@@ -26,15 +26,16 @@ import errno
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List
 
-from ..jobs.spec import CaseSpec, derive_seed
+from ..seeds import derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..jobs.spec import CaseSpec
 
 __all__ = ["InjectedFault", "FaultPlan", "inject_mk_memory_error",
            "inject_reorder_abort", "inject_journal_fault",
-           "crashy_stub_task", "planned_crash",
-           "FLEET_FAULTS_ENV", "FleetFaultPlan",
-           "inject_lease_contention", "tear_journal_tail"]
+           "crashy_stub_task", "planned_crash"]
 
 
 class InjectedFault(RuntimeError):
@@ -217,109 +218,3 @@ def crashy_stub_task(case: CaseSpec):
         inputs=2, outputs=1, spec_nodes=3, mutation="stub",
         checks={c: CheckOutcome(error_found=case.error_index % 2 == 0)
                 for c in case.checks})
-
-
-# --------------------------------------------------------------------
-# Shard-level injectors for the campaign fleet (repro.fleet).
-#
-# Fleet shards are spawned processes; they cannot be monkeypatched from
-# the test process.  The fault schedule therefore travels through one
-# environment variable (spawn children inherit the environment), parsed
-# by the shard at startup.  Faults apply only to a shard's *first*
-# incarnation — a shard the supervisor respawns after a drill kill runs
-# clean, so every drill terminates.
-
-#: Comma-separated fault tokens, e.g.
-#: ``kill-shard:1@2,heartbeat-blackhole:0,torn-journal:2``.
-FLEET_FAULTS_ENV = "REPRO_FLEET_FAULTS"
-
-
-@dataclass(frozen=True)
-class FleetFaultPlan:
-    """Parsed shard-level fault schedule for one fleet run.
-
-    * ``kill-shard:K@N`` — shard K SIGKILLs itself when it is about to
-      execute its N-th case (1-based), *after* writing the claim record
-      — the case is in-flight, so the supervisor must mark it lost and
-      reschedule it;
-    * ``heartbeat-blackhole:K`` — shard K never writes heartbeat
-      records (it otherwise runs normally), so the supervisor must
-      declare it dead on heartbeat miss and SIGKILL it;
-    * ``torn-journal:K`` — shard K's journal starts with a torn
-      half-line (simulating a previous run killed mid-append); readers
-      must skip it and the writer must self-heal.
-    """
-
-    kill_at: "FrozenSet[Tuple[int, int]]" = frozenset()
-    blackhole: "FrozenSet[int]" = frozenset()
-    torn_journal: "FrozenSet[int]" = frozenset()
-
-    @classmethod
-    def parse(cls, text: str) -> "FleetFaultPlan":
-        kill, black, torn = set(), set(), set()
-        for token in filter(None,
-                            (t.strip() for t in text.split(","))):
-            name, _, arg = token.partition(":")
-            if name == "kill-shard":
-                shard, _, ordinal = arg.partition("@")
-                kill.add((int(shard), int(ordinal or 1)))
-            elif name == "heartbeat-blackhole":
-                black.add(int(arg))
-            elif name == "torn-journal":
-                torn.add(int(arg))
-            else:
-                raise ValueError("unknown fleet fault token %r" % token)
-        return cls(kill_at=frozenset(kill), blackhole=frozenset(black),
-                   torn_journal=frozenset(torn))
-
-    @classmethod
-    def from_env(cls) -> "FleetFaultPlan":
-        return cls.parse(os.environ.get(FLEET_FAULTS_ENV, ""))
-
-    def kill_ordinal(self, shard: int) -> Optional[int]:
-        """The case ordinal at which ``shard`` kills itself, if any."""
-        for who, ordinal in self.kill_at:
-            if who == shard:
-                return ordinal
-        return None
-
-
-def tear_journal_tail(path: str,
-                      garbage: bytes = b'{"v":1,"ev":"case","tr')\
-        -> None:
-    """Append a torn half-line to a (possibly absent) shard journal.
-
-    Recreates the on-disk state a SIGKILL mid-append leaves behind;
-    :class:`repro.jobs.journal.LineJournalWriter` must self-heal it and
-    :func:`repro.jobs.journal.iter_journal_dicts` must skip it.
-    """
-    parent = os.path.dirname(os.path.abspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "ab") as handle:
-        handle.write(garbage)
-
-
-@contextmanager
-def inject_lease_contention(leases, rival: str = "rival#0",
-                            lose_first: int = 1) -> Iterator[List[str]]:
-    """Make the first ``lose_first`` lease acquisitions lose the race.
-
-    Patches ``leases.acquire`` so a rival grabs each contested key just
-    before the caller's own attempt — the exact interleaving of two
-    shards stealing the same key, compressed into a deterministic unit
-    test.  Yields the list of keys the caller lost.
-    """
-    original = leases.acquire
-    lost: List[str] = []
-
-    def contended_acquire(key: str, owner: str) -> bool:
-        if len(lost) < lose_first and original(key, rival):
-            lost.append(key)
-        return original(key, owner)
-
-    leases.acquire = contended_acquire
-    try:
-        yield lost
-    finally:
-        del leases.acquire

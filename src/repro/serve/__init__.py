@@ -13,6 +13,9 @@ store.  Module map:
   fair-share dispatch, ``Retry-After`` sizing.
 * :mod:`~repro.serve.executor` — job specs/records and the worker
   pool front (SIGKILL-able check execution).
+* :mod:`~repro.serve.slots` — :class:`~repro.serve.slots.SlotFleet`,
+  single-slot worker pools behind an async idle queue, with crash
+  backoff.
 * :mod:`~repro.serve.store` — append-only job journal; a restarted
   server resumes queued jobs and reports lost ones.
 * :mod:`~repro.serve.server` — the asyncio HTTP server tying it all

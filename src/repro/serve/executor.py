@@ -10,11 +10,11 @@ service flavor: :class:`JobSpec` in, :class:`JobRecord` out, with
 :func:`execute_job` as the importable task spawned children resolve.
 
 :class:`JobExecutor` is the parent-side front: a service-flavored
-:class:`repro.fleet.slots.SlotFleet` — one single-slot
+:class:`repro.serve.slots.SlotFleet` — one single-slot
 :class:`~repro.jobs.pool.WorkerPool` per configured job slot, behind
 an async idle queue.  Each slot keeps its worker process alive across
 jobs (spawn cost is paid once at server start), jobs dispatch the
-moment a slot frees, and the fleet substrate throttles a
+moment a slot frees, and the slot layer throttles a
 crash-looping slot with deterministic backoff so a poisoned tenant
 burns its own latency, not the host's respawn budget.
 """
@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.result import (OUTCOME_ERROR, OUTCOME_INCONCLUSIVE,
                            OUTCOME_OK, OUTCOME_TIMEOUT)
-from ..fleet.slots import SlotFleet
+from .slots import SlotFleet
 from ..jobs.pool import WorkerPool
 from ..resilience.backoff import BackoffPolicy
 
@@ -256,13 +256,13 @@ def execute_job(job: JobSpec) -> JobRecord:
 
 
 class JobExecutor(SlotFleet):
-    """The service's :class:`~repro.fleet.slots.SlotFleet` flavor.
+    """The service's :class:`~repro.serve.slots.SlotFleet` flavor.
 
     The scheduler acquires a slot, runs exactly one job on it (in a
     thread, because :meth:`WorkerPool.run` blocks), and releases it.
     The per-slot worker process survives across jobs; a hard-deadline
     kill or a crash costs that slot one respawn (handled inside the
-    pool) plus a fleet-governed backoff sleep while the slot is still
+    pool) plus a slot-governed backoff sleep while the slot is still
     held, so a crash loop cannot hot-spin worker spawns.
     """
 

@@ -6,7 +6,7 @@ The generic substrate under the service's :class:`JobExecutor`
 across work items, fronted by an ``asyncio.Queue`` of idle slots so an
 event loop dispatches the moment a slot frees.
 
-What the fleet layer adds over K bare pools is *crash governance*: a
+What this layer adds over K bare pools is *crash governance*: a
 slot whose worker keeps dying (a tenant submitting allocator-killing
 jobs, a poisoned input) is throttled with
 :class:`repro.resilience.BackoffPolicy` delays while the slot is still

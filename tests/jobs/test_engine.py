@@ -5,10 +5,14 @@ handful of cases) so they stay in the seconds range even on one core.
 """
 
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.result import OUTCOME_OK, OUTCOME_TIMEOUT
+from repro.experiments.export import rows_to_csv, rows_to_json
 from repro.experiments.runner import CHECKS, ExperimentConfig
 from repro.jobs import (enumerate_cases, execute_case, read_journal,
                         run_campaign)
@@ -17,6 +21,37 @@ from .test_pool import hang_task, stub_task
 
 CONFIG = ExperimentConfig(selections=1, errors=3, patterns=30,
                           benchmarks=["alu4"])
+
+#: Six stub cases: enough for a worker to finish out of order.
+STUB_CONFIG = ExperimentConfig(selections=2, errors=3, patterns=30,
+                               benchmarks=["alu4"])
+
+#: Directory holding the marker files of ``die_once_task``.
+KILL_DIR_ENV = "REPRO_TEST_KILL_DIR"
+
+
+def _marker(directory, case):
+    return os.path.join(directory, "kill-%d-%d"
+                        % (case.selection, case.error_index))
+
+
+def die_once_task(case):
+    """``stub_task``, except that the worker dies on its first attempt
+    at a case whose marker file exists (the attempt removes it)."""
+    marker = _marker(os.environ[KILL_DIR_ENV], case)
+    if os.path.exists(marker):
+        os.remove(marker)
+        os._exit(3)
+    return stub_task(case)
+
+
+def _stub_campaign(journal, **kwargs):
+    """(journal text, JSON, CSV) of one stub campaign."""
+    result = run_campaign(STUB_CONFIG, journal=journal, **kwargs)
+    with open(journal) as handle:
+        raw = handle.read()
+    rows = [result.rows[name] for name in result.rows]
+    return raw, rows_to_json(rows), rows_to_csv(rows)
 
 
 def deterministic_fields(row):
@@ -42,6 +77,40 @@ class TestDeterminism:
                     == theirs.checks[check].error_found
                 assert ours.checks[check].peak_nodes \
                     == theirs.checks[check].peak_nodes
+
+    # A timeout puts jobs=1 on the pool too; the stub's seconds are
+    # fixed, so every byte of the outputs must match.
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(jobs=st.integers(min_value=1, max_value=4))
+    def test_any_job_count_matches_serial(self, jobs):
+        with tempfile.TemporaryDirectory() as td:
+            serial = _stub_campaign(os.path.join(td, "serial.jsonl"),
+                                    task=stub_task)
+            pooled = _stub_campaign(os.path.join(td, "pooled.jsonl"),
+                                    task=stub_task, jobs=jobs,
+                                    timeout=60.0)
+        assert pooled == serial
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(jobs=st.integers(min_value=1, max_value=4),
+           victim=st.integers(min_value=0, max_value=5))
+    def test_killed_worker_matches_serial(self, jobs, victim):
+        with tempfile.TemporaryDirectory() as td:
+            serial = _stub_campaign(os.path.join(td, "serial.jsonl"),
+                                    task=stub_task)
+            marker = _marker(td, enumerate_cases(STUB_CONFIG)[victim])
+            open(marker, "w").close()
+            os.environ[KILL_DIR_ENV] = td
+            try:
+                pooled = _stub_campaign(os.path.join(td, "pooled.jsonl"),
+                                        task=die_once_task, jobs=jobs,
+                                        timeout=60.0)
+            finally:
+                del os.environ[KILL_DIR_ENV]
+            assert not os.path.exists(marker)  # the worker did die
+        assert pooled == serial
 
     def test_single_case_matches_campaign(self):
         # Sharding/resume soundness: a case executed on its own yields
@@ -102,6 +171,26 @@ class TestResume:
         result = run_campaign(CONFIG, resume=path, task=stub_task)
         assert result.resumed == 0
         assert result.executed == 3
+
+
+    def test_interrupt_keeps_records_waiting_on_a_straggler(self,
+                                                            tmp_path):
+        # error_index 0 hangs, so 1 and 2 finish first and wait in the
+        # reorder buffer; Ctrl-C must still land them in the journal.
+        path = str(tmp_path / "campaign.jsonl")
+        seen = []
+
+        def progress(message):
+            seen.append(message)
+            if len(seen) == 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(CONFIG, jobs=2, timeout=60.0, task=hang_task,
+                         journal=path, progress=progress)
+        assert [r.case.error_index for r in read_journal(path)] == [1, 2]
+        again = run_campaign(CONFIG, resume=path, task=stub_task)
+        assert (again.resumed, again.executed) == (2, 1)
 
 
 class TestTimeouts:

@@ -110,6 +110,26 @@ class TestMkMemoryError:
             conj = conj & x
         assert conj.sat_count() == 1
 
+    def test_never_fires_inside_a_legacy_swap(self):
+        # The reference manager's swap creates nodes through ``mk``; an
+        # armed countdown must wait until the level is whole again.
+        from repro.bdd._legacy import LegacyBdd
+
+        bdd = LegacyBdd()
+        xs = bdd.add_vars(["v%d" % i for i in range(8)])
+        acc = bdd.false
+        for i in range(4):
+            acc = acc | (xs[i] & xs[7 - i])
+        count = acc.sat_count(nvars=8)
+        with inject_mk_memory_error(bdd.manager, 5) as calls:
+            bdd.reorder()
+            assert bdd.manager.invariant_violations() == []
+            assert acc.sat_count(nvars=8) == count
+            with pytest.raises(MemoryError):
+                _and_or_chain(bdd, xs, None, None, None)
+        assert calls[0] == 5
+        assert bdd.manager.invariant_violations() == []
+
     def test_refuses_a_manager_with_a_budget(self):
         bdd = Bdd()
         bdd.set_budget(Budget(max_live_nodes=100))

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.core.result import OUTCOME_ERROR, OUTCOME_OK
-from repro.fleet import SlotFleet
+from repro.serve.slots import SlotFleet
 from repro.obs import Tracer
 from repro.resilience import BackoffPolicy
 
@@ -74,7 +74,7 @@ class TestSlotFleet:
 
         record, elapsed, throttled, clean, stats = asyncio.run(scenario())
         # The pool retried the deterministic crasher to a terminal
-        # ERROR record; the fleet layer added a backoff sleep.
+        # ERROR record; the slot layer added a backoff sleep.
         assert record.outcome == OUTCOME_ERROR
         assert elapsed >= 0.01
         assert throttled == 1

@@ -12,7 +12,7 @@ import sys
 
 #: Entry points that together reach every package under ``src/repro``.
 ENTRY_POINTS = ("repro.api", "repro.experiments.cli", "repro.serve.server",
-                "repro.fleet", "repro.jobs.worker")
+                "repro.jobs.worker")
 
 _PROBE = """
 import importlib, json, sys
