@@ -10,11 +10,11 @@ C-implemented dict probe beats any Python-level slot arithmetic — see
 results stay canonical because every node goes through the unique
 table.
 
-Segments also survive garbage collection when ``keep_across_gc`` is on:
-entries whose operands and result are still live are kept instead of
-the historic wholesale ``clear()``, so the table stays warm across GC.
-Reordering still clears everything — a level swap changes what a node
-id *means*, so cached results would be wrong, not just stale.
+Segments also survive garbage collection: entries whose operands and
+result are still live are kept instead of the historic wholesale
+``clear()``, so the table stays warm across GC.  Reordering still
+clears everything — a level swap changes what a node id *means*, so
+cached results would be wrong, not just stale.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ OP_NAMES = ("and", "or", "xor", "not", "ite", "exists", "forall",
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Sizing and retention policy of the segmented computed table.
+    """Sizing of the segmented computed table.
 
     Parameters
     ----------
@@ -39,14 +39,9 @@ class CacheConfig:
         ``0`` means unbounded (no eviction).  Small powers of two are
         useful in tests; the default is large enough that eviction is
         rare on the paper's circuits while still bounding memory.
-    keep_across_gc:
-        Keep computed-table entries across garbage collection when the
-        operands and the result all survived the sweep.  When off, every
-        GC clears the whole table (the pre-segmentation behaviour).
     """
 
     segment_entries: int = 1 << 16
-    keep_across_gc: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.segment_entries, int) \

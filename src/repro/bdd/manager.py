@@ -61,9 +61,9 @@ _TERMINAL_VAR = -1
 _TERMINAL_LEVEL = 1 << 60
 
 # Opcodes.  The segmented computed table no longer tags its keys with
-# these (each op owns a segment), but the binary apply loop and
-# quantification still dispatch on them and :mod:`repro.bdd._legacy`
-# keys its historic single table with them.
+# these (each op owns a segment), but the apply and context loops still
+# dispatch on them and :mod:`repro.bdd._legacy` keys its historic single
+# table with them.
 _OP_AND = 0
 _OP_OR = 1
 _OP_XOR = 2
@@ -106,6 +106,16 @@ _APPLY_RULES = {
     _OP_XOR: ("_c_xor", "_cs_xor", FALSE, True),
 }
 
+#: Rule rows of the context loop: opcode -> (segment attr, stats attr,
+#: budget-poll site).  Restrict and compose poll only through ``mk``
+#: and ``_ite``.
+_CONTEXT_RULES = {
+    _OP_EXISTS: ("_c_exists", "_cs_exists", "quantify"),
+    _OP_FORALL: ("_c_forall", "_cs_forall", "quantify"),
+    _OP_RESTRICT: ("_c_restrict", "_cs_restrict", None),
+    _OP_COMPOSE: ("_c_compose", "_cs_compose", None),
+}
+
 
 class BddManager:
     """Shared store for all BDD nodes of one variable order.
@@ -126,9 +136,9 @@ class BddManager:
         structured diagnostics) on corruption.  Defaults to the
         ``REPRO_DEBUG=1`` environment switch.
     cache_config:
-        Sizing and retention policy of the segmented computed table
-        (see :class:`repro.bdd.cache.CacheConfig`).  Defaults to
-        bounded segments that are kept warm across garbage collection.
+        Sizing of the segmented computed table (see
+        :class:`repro.bdd.cache.CacheConfig`).  Segments are kept warm
+        across garbage collection.
 
     Resource governance
     -------------------
@@ -433,9 +443,7 @@ class BddManager:
 
         Returns the number of freed nodes.  The computed-table segments
         are swept against the mark: entries whose operands and result
-        all survived are kept when the cache policy allows
-        (:attr:`CacheConfig.keep_across_gc`), everything else is
-        dropped.
+        all survived are kept, everything else is dropped.
         """
         var_a = self._var
         low_a = self._low
@@ -505,10 +513,6 @@ class BddManager:
         """
         self._c_compose.clear()
         self._compose_ctx.clear()
-        if not self.cache_config.keep_across_gc:
-            for _name, cattr, _sattr, _kind in _SEGMENT_SPECS:
-                getattr(self, cattr).clear()
-            return
         for _name, cattr, _sattr, kind in _SEGMENT_SPECS:
             if kind == "volatile":
                 continue
@@ -682,15 +686,18 @@ class BddManager:
         self._maybe_maintain()
         return self._or(self._not(f), g)
 
-    # Each kernel is split into a fast path (terminal rules, normalize,
-    # one computed-table probe) and a resolve-first explicit-stack loop:
-    # ``_apply_slow`` serves AND, OR and XOR, ``_negate_slow`` NOT and
-    # ``_ite_slow`` ITE.  A loop resolves each task by a terminal rule
-    # or a cache hit, else pushes one frame and descends into the low
-    # cofactor.  The two Boolean loops inline ``mk``'s creation path
-    # (one copy each); going through ``mk`` costs measurable check time.
-    # Stats are accumulated in locals and flushed in ``finally`` (a
-    # budget trip may abort the loop mid-flight).
+    # Every kernel is a resolve-first explicit-stack loop: it resolves
+    # each task by a terminal rule or a cache hit, else pushes one frame
+    # and descends into the low cofactor.  ``_apply_slow`` serves AND,
+    # OR and XOR (behind the fast paths below) and ``_negate_slow`` NOT;
+    # these two inline ``mk``'s creation path, because going through
+    # ``mk`` costs measurable check time.  ``_context_loop`` serves
+    # exists, forall, restrict and compose, whose tasks are one node
+    # under an interned context.  ``_ite_slow`` and ``_and_exists`` keep
+    # their own loops: their tasks carry three and two operands, which
+    # would cost the quantify loop per-task branches.  Stats are
+    # accumulated in locals and flushed in ``finally`` (a budget trip
+    # may abort a loop mid-flight).
 
     def _and(self, f: int, g: int) -> int:
         if f == FALSE or g == FALSE:
@@ -966,7 +973,9 @@ class BddManager:
             st[1] += miss
             st[2] += evt
 
-    def _ite(self, f: int, g: int, h: int) -> int:
+    def _ite_rule(self, f: int, g: int, h: int) -> int:
+        # ITE's terminal rules (which may run the binary kernels): the
+        # result, or -1 when none applies.
         if f == TRUE:
             return g
         if f == FALSE:
@@ -989,6 +998,12 @@ class BddManager:
             return self._or(f, h)
         if f == h:
             return self._and(f, g)
+        return -1
+
+    def _ite(self, f: int, g: int, h: int) -> int:
+        res = self._ite_rule(f, g, h)
+        if res >= 0:
+            return res
         res = self._c_ite.get((f, g, h))
         if res is not None:
             self._cs_ite[0] += 1
@@ -997,15 +1012,15 @@ class BddManager:
 
     def _ite_slow(self, f: int, g: int, h: int) -> int:
         # Resolve-first loop: each (f, g, h) task either simplifies via
-        # the terminal rules (which may run the — iterative — binary
-        # kernels), hits the cache, or pushes one frame and descends.
-        # Frame: [key, var, f1, g1, h1, state]; state is -1 while the
-        # low cofactor is in flight, then the low *result* (always
-        # >= 0) while the high cofactor is in flight.
+        # the terminal rules, hits the cache, or pushes one frame and
+        # descends.  Frame: [key, var, f1, g1, h1, state]; state is -1
+        # while the low cofactor is in flight, then the low *result*
+        # (always >= 0) while the high cofactor is in flight.
         cache = self._c_ite
         cache_get = cache.get
         limit = self._cache_limit
         mk = self.mk
+        ite_rule = self._ite_rule
         var_a = self._var
         low_a = self._low
         high_a = self._high
@@ -1020,29 +1035,8 @@ class BddManager:
         try:
             while True:
                 # RESOLVE the task (f, g, h).
-                if f == TRUE:
-                    res = g
-                elif f == FALSE:
-                    res = h
-                elif g == h:
-                    res = g
-                elif g == TRUE and h == FALSE:
-                    res = f
-                elif g == FALSE and h == TRUE:
-                    res = self._not(f)
-                elif g == TRUE:
-                    res = self._or(f, h)
-                elif g == FALSE:
-                    res = self._and(self._not(f), h)
-                elif h == FALSE:
-                    res = self._and(f, g)
-                elif h == TRUE:
-                    res = self._or(self._not(f), g)
-                elif f == g:
-                    res = self._or(f, h)
-                elif f == h:
-                    res = self._and(f, g)
-                else:
+                res = ite_rule(f, g, h)
+                if res < 0:
                     key = (f, g, h)
                     res = cache_get(key)
                     if res is None:
@@ -1107,19 +1101,20 @@ class BddManager:
             st[2] += evt
 
     # ------------------------------------------------------------------
-    # Quantification
+    # Quantification, cofactor and compose
     # ------------------------------------------------------------------
 
     def _levels_key(self, variables: Iterable[Union[str, int]]) -> frozenset:
         return frozenset(self.var_id(v) for v in variables)
 
-    def _quant_ctx_id(self, var_set: frozenset) -> int:
-        qc = self._quant_ctx
-        ctx = qc.get(var_set)
-        if ctx is None:
-            ctx = len(qc)
-            qc[var_set] = ctx
-        return ctx
+    @staticmethod
+    def _intern(table: Dict, context) -> int:
+        # Contexts are interned once per top-level call, so computed
+        # table keys carry a small id instead of the context itself.
+        cid = table.get(context)
+        if cid is None:
+            cid = table[context] = len(table)
+        return cid
 
     def exists(self, variables: Iterable[Union[str, int]], f: int) -> int:
         """Existential quantification ``∃ variables . f``."""
@@ -1144,85 +1139,133 @@ class BddManager:
         # Hoisted once per top-level call; the historic recursion paid
         # this O(|var_set|) max at *every* visited node.
         max_level = max(v2l[v] for v in var_set)
-        var_a = self._var
-        if v2l[var_a[f]] > max_level:
+        if v2l[self._var[f]] > max_level:
             return f
-        if op == _OP_EXISTS:
-            cache = self._c_exists
-            stats = self._cs_exists
-            combine = self._or
-        else:
-            cache = self._c_forall
-            stats = self._cs_forall
-            combine = self._and
-        ctx = self._quant_ctx_id(var_set)
-        res = cache.get((f, ctx))
-        if res is not None:
-            stats[0] += 1
-            return res
+        cid = self._intern(self._quant_ctx, var_set)
+        return self._context_loop(op, f, cid, max_level, var_set)
+
+    def restrict(self, f: int,
+                 assignment: Dict[Union[str, int], bool]) -> int:
+        """Cofactor ``f`` with a partial variable assignment."""
+        self._maybe_maintain()
+        fixed = {self.var_id(v): bool(val) for v, val in assignment.items()}
+        if not fixed:
+            return f
+        rid = self._intern(self._restrict_ctx, tuple(sorted(fixed.items())))
+        return self._context_loop(_OP_RESTRICT, f, rid, _TERMINAL_LEVEL,
+                                  fixed)
+
+    def compose(self, f: int,
+                substitution: Dict[Union[str, int], int]) -> int:
+        """Simultaneous functional composition ``f[var := g, ...]``."""
+        self._maybe_maintain()
+        subst = {self.var_id(v): g for v, g in substitution.items()}
+        if not subst:
+            return f
+        cid = self._intern(self._compose_ctx, tuple(sorted(subst.items())))
+        return self._context_loop(_OP_COMPOSE, f, cid, _TERMINAL_LEVEL,
+                                  subst)
+
+    def _context_loop(self, op: int, f: int, cid: int, max_level: int,
+                      context) -> int:
+        # Resolve-first loop of the ops that map one operand under an
+        # interned context ``cid``.  ``context`` is the quantified
+        # variable set (EXISTS, FORALL), the fixed assignment (RESTRICT)
+        # or the substitution (COMPOSE).  A task f resolves to itself
+        # when it is a terminal or lies below ``max_level``, the deepest
+        # quantified level (_TERMINAL_LEVEL never cuts).  Frame: [key,
+        # var, hi, state, parent]; state -1 while the low child is in
+        # flight, 0 while the high child runs (slot 2 then holds the
+        # low result), 2 for a fixed variable's pass-through (the
+        # child's result is cached and propagated unchanged).  Frames
+        # link to their parent like _apply_slow's (see
+        # docs/performance.md).
+        cattr, sattr, site = _CONTEXT_RULES[op]
+        cache = getattr(self, cattr)
         cache_get = cache.get
         limit = self._cache_limit
         mk = self.mk
+        _ite = self._ite
+        combine = self._or if op == _OP_EXISTS else self._and
+        quantified = context if op in (_OP_EXISTS, _OP_FORALL) else ()
+        fixed = context if op == _OP_RESTRICT else {}
+        subst = context if op == _OP_COMPOSE else None
+        var_a = self._var
         low_a = self._low
         high_a = self._high
-        stack: List[list] = []
-        push = stack.append
-        pop = stack.pop
+        v2l = self._var2level
         hits = 0
         miss = 0
         evt = 0
+        top = None
         try:
             while True:
                 # RESOLVE the task f.
                 if f <= TRUE or v2l[var_a[f]] > max_level:
                     res = f
                 else:
-                    key = (f, ctx)
+                    key = (f, cid)
                     res = cache_get(key)
                     if res is None:
                         miss += 1
-                        n = self._budget_countdown
-                        if n is not None:
-                            if n > 0:
-                                self._budget_countdown = n - 1
-                            else:
-                                self._budget_poll("quantify")
-                        push([key, var_a[f], high_a[f], -1])
+                        var = var_a[f]
+                        if site is not None:
+                            n = self._budget_countdown
+                            if n is not None:
+                                if n > 0:
+                                    self._budget_countdown = n - 1
+                                else:
+                                    self._budget_poll(site)
+                        elif var in fixed:
+                            # Restrict (no poll site): pass through.
+                            top = [key, var, 0, 2, top]
+                            f = high_a[f] if fixed[var] else low_a[f]
+                            continue
+                        top = [key, var, high_a[f], -1, top]
                         f = low_a[f]
                         continue
                     hits += 1
                 # UNWIND.
-                while stack:
-                    top = stack[-1]
-                    if top[3] < 0:
+                while top is not None:
+                    state = top[3]
+                    if state < 0:
                         f = top[2]
                         top[2] = res
                         top[3] = 0
                         break
-                    pop()
-                    var = top[1]
-                    if var in var_set:
-                        res = combine(top[2], res)
-                    else:
-                        res = mk(var, top[2], res)
+                    if state == 0:
+                        var = top[1]
+                        if var in quantified:
+                            res = combine(top[2], res)
+                        elif subst is None:
+                            res = mk(var, top[2], res)
+                        else:
+                            g = subst.get(var)
+                            if g is None:
+                                g = mk(var, FALSE, TRUE)
+                            res = _ite(g, res, top[2])
                     if len(cache) >= limit:
                         del cache[next(iter(cache))]
                         evt += 1
                     cache[top[0]] = res
+                    top = top[4]
                 else:
                     return res
         finally:
-            stats[0] += hits
-            stats[1] += miss
-            stats[2] += evt
+            st = getattr(self, sattr)
+            st[0] += hits
+            st[1] += miss
+            st[2] += evt
 
     def and_exists(self, variables: Iterable[Union[str, int]],
                    f: int, g: int) -> int:
         """Relational product ``∃ variables . f ∧ g`` in one pass.
 
         Avoids building the full conjunction when most of it is
-        quantified away; the workhorse of the output- and input-exact
-        checks.
+        quantified away.  Image computation in
+        :mod:`repro.seq.reachability` calls it; the output- and
+        input-exact checks conjoin first and then call :meth:`exists`
+        (:func:`repro.core.quantify.exists_conj`).
         """
         self._maybe_maintain()
         vars_key = self._levels_key(variables)
@@ -1236,7 +1279,7 @@ class BddManager:
         # flight — -2 when var is quantified, enabling the lo == TRUE
         # short-circuit — then 1 (quantified, a=low result) or 0
         # (unquantified, a=low result) while the high pair runs.
-        ctx = self._quant_ctx_id(var_set)
+        ctx = self._intern(self._quant_ctx, var_set)
         cache = self._c_andex
         cache_get = cache.get
         limit = self._cache_limit
@@ -1327,167 +1370,6 @@ class BddManager:
                     return res
         finally:
             st = self._cs_andex
-            st[0] += hits
-            st[1] += miss
-            st[2] += evt
-
-    # ------------------------------------------------------------------
-    # Cofactor / compose
-    # ------------------------------------------------------------------
-
-    def restrict(self, f: int,
-                 assignment: Dict[Union[str, int], bool]) -> int:
-        """Cofactor ``f`` with a partial variable assignment."""
-        self._maybe_maintain()
-        fixed = {self.var_id(v): bool(val) for v, val in assignment.items()}
-        if not fixed:
-            return f
-        # The assignment is interned once per top-level call; the
-        # historic recursion rebuilt tuple(sorted(fixed.items())) at
-        # every visited node just to key the computed table.
-        rc = self._restrict_ctx
-        items = tuple(sorted(fixed.items()))
-        rid = rc.get(items)
-        if rid is None:
-            rid = len(rc)
-            rc[items] = rid
-        return self._restrict(f, fixed, rid)
-
-    def _restrict(self, f: int, fixed: Dict[int, bool], rid: int) -> int:
-        if f <= TRUE:
-            return f
-        # Resolve-first loop.  Frame: [key, var, hi, state]; state -1
-        # while the low child is in flight (hi pending), 0 while the
-        # high child runs (slot 2 now holds the low result), 2 for a
-        # fixed-variable pass-through (cache and propagate unchanged).
-        cache = self._c_restrict
-        cache_get = cache.get
-        limit = self._cache_limit
-        mk = self.mk
-        fixed_get = fixed.get
-        var_a = self._var
-        low_a = self._low
-        high_a = self._high
-        stack: List[list] = []
-        push = stack.append
-        pop = stack.pop
-        hits = 0
-        miss = 0
-        evt = 0
-        try:
-            while True:
-                # RESOLVE the task f.
-                if f <= TRUE:
-                    res = f
-                else:
-                    key = (f, rid)
-                    res = cache_get(key)
-                    if res is None:
-                        miss += 1
-                        var = var_a[f]
-                        val = fixed_get(var)
-                        if val is None:
-                            push([key, var, high_a[f], -1])
-                            f = low_a[f]
-                        else:
-                            push([key, 0, 0, 2])
-                            f = high_a[f] if val else low_a[f]
-                        continue
-                    hits += 1
-                # UNWIND.
-                while stack:
-                    top = stack[-1]
-                    state = top[3]
-                    if state < 0:
-                        f = top[2]
-                        top[2] = res
-                        top[3] = 0
-                        break
-                    pop()
-                    if state == 0:
-                        res = mk(top[1], top[2], res)
-                    if len(cache) >= limit:
-                        del cache[next(iter(cache))]
-                        evt += 1
-                    cache[top[0]] = res
-                else:
-                    return res
-        finally:
-            st = self._cs_restrict
-            st[0] += hits
-            st[1] += miss
-            st[2] += evt
-
-    def compose(self, f: int,
-                substitution: Dict[Union[str, int], int]) -> int:
-        """Simultaneous functional composition ``f[var := g, ...]``."""
-        self._maybe_maintain()
-        subst = {self.var_id(v): g for v, g in substitution.items()}
-        if not subst:
-            return f
-        cc = self._compose_ctx
-        skey = tuple(sorted(subst.items()))
-        cid = cc.get(skey)
-        if cid is None:
-            cid = len(cc)
-            cc[skey] = cid
-        return self._compose(f, subst, cid)
-
-    def _compose(self, f: int, subst: Dict[int, int], cid: int) -> int:
-        if f <= TRUE:
-            return f
-        # Resolve-first loop.  Frame: [key, var, hi, state]; state -1
-        # while the low child is in flight, 0 while the high child runs
-        # (slot 2 then holds the low result).
-        cache = self._c_compose
-        cache_get = cache.get
-        limit = self._cache_limit
-        subst_get = subst.get
-        var_a = self._var
-        low_a = self._low
-        high_a = self._high
-        stack: List[list] = []
-        push = stack.append
-        pop = stack.pop
-        hits = 0
-        miss = 0
-        evt = 0
-        try:
-            while True:
-                # RESOLVE the task f.
-                if f <= TRUE:
-                    res = f
-                else:
-                    key = (f, cid)
-                    res = cache_get(key)
-                    if res is None:
-                        miss += 1
-                        push([key, var_a[f], high_a[f], -1])
-                        f = low_a[f]
-                        continue
-                    hits += 1
-                # UNWIND.
-                while stack:
-                    top = stack[-1]
-                    if top[3] < 0:
-                        f = top[2]
-                        top[2] = res
-                        top[3] = 0
-                        break
-                    pop()
-                    var = top[1]
-                    g = subst_get(var)
-                    if g is None:
-                        g = self.mk(var, FALSE, TRUE)
-                    res = self._ite(g, res, top[2])
-                    if len(cache) >= limit:
-                        del cache[next(iter(cache))]
-                        evt += 1
-                    cache[top[0]] = res
-                else:
-                    return res
-        finally:
-            st = self._cs_compose
             st[0] += hits
             st[1] += miss
             st[2] += evt
@@ -1624,24 +1506,6 @@ class BddManager:
         v2l = self._var2level
         return [self._var_names[v]
                 for v in sorted(vars_seen, key=v2l.__getitem__)]
-
-    def _topo_nodes(self, f: int) -> List[int]:
-        seen = set()
-        order: List[int] = []
-        stack: List[Tuple[int, bool]] = [(f, False)]
-        while stack:
-            u, done = stack.pop()
-            if done:
-                order.append(u)
-                continue
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.append((u, True))
-            if u > TRUE:
-                stack.append((self._low[u], False))
-                stack.append((self._high[u], False))
-        return order
 
     # ------------------------------------------------------------------
     # Debug helpers

@@ -10,7 +10,7 @@ that can actually occur.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .function import Function
 from .manager import FALSE, TRUE, BddManager
@@ -18,37 +18,75 @@ from .manager import FALSE, TRUE, BddManager
 __all__ = ["constrain", "minimize_restrict"]
 
 
-def _constrain(mgr: BddManager, f: int, c: int,
-               cache: Dict[Tuple[int, int], int]) -> int:
-    if c == FALSE:
-        # Degenerate by convention: caller guards against an empty care
-        # set; returning f keeps the identity f|c=1 -> f.
-        return f
-    if c == TRUE or f <= TRUE:
-        return f
-    if f == c:
-        return TRUE
-    key = (f, c)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    level_f = mgr._node_level(f)
-    level_c = mgr._node_level(c)
-    level = min(level_f, level_c)
-    var = mgr._level2var[level]
-    f0, f1 = (mgr.node_low(f), mgr.node_high(f)) \
-        if level_f == level else (f, f)
-    c0, c1 = (mgr.node_low(c), mgr.node_high(c)) \
-        if level_c == level else (c, c)
-    if c0 == FALSE:
-        result = _constrain(mgr, f1, c1, cache)
-    elif c1 == FALSE:
-        result = _constrain(mgr, f0, c0, cache)
-    else:
-        result = mgr.mk(var, _constrain(mgr, f0, c0, cache),
-                        _constrain(mgr, f1, c1, cache))
-    cache[key] = result
-    return result
+def _dont_care(mgr: BddManager, f: int, c: int, smooth: bool) -> int:
+    """Constrain ``f`` by the care set ``c``, or Shiple-restrict it
+    (``smooth``): then a care-set variable above ``f``'s top is smoothed
+    out of ``c`` instead of introduced into ``f``, and the ``f == c``
+    rule is skipped.
+
+    An explicit-stack loop like the manager's kernels.  Frame: [key,
+    var, f1, c1, state]; state -1 while the low pair is in flight, 0
+    while the high pair runs (slot 2 then holds the low result), 2 for
+    a pass-through (one cofactor of ``c`` is empty, or ``c`` was
+    smoothed) that caches and propagates its one child's result.
+    """
+    var_a = mgr._var
+    low_a = mgr._low
+    high_a = mgr._high
+    v2l = mgr._var2level
+    cache: Dict[Tuple[int, int], int] = {}
+    stack: List[list] = []
+    push = stack.append
+    while True:
+        # RESOLVE the task (f, c).  c == FALSE only reaches here from a
+        # caller that skipped the empty-care guard; returning f keeps
+        # the identity f|c=1 -> f.
+        if c <= TRUE or f <= TRUE:
+            res = f
+        elif f == c and not smooth:
+            res = TRUE
+        else:
+            key = (f, c)
+            res = cache.get(key)
+            if res is None:
+                level_f = v2l[var_a[f]]
+                level_c = v2l[var_a[c]]
+                if level_c < level_f and smooth:
+                    push([key, 0, 0, 0, 2])
+                    c = mgr._or(low_a[c], high_a[c])
+                    continue
+                if level_f <= level_c:
+                    var = var_a[f]
+                    f0, f1 = low_a[f], high_a[f]
+                else:
+                    var = var_a[c]
+                    f0 = f1 = f
+                if level_c <= level_f:
+                    c0, c1 = low_a[c], high_a[c]
+                else:
+                    c0 = c1 = c
+                if c0 == FALSE or c1 == FALSE:
+                    push([key, 0, 0, 0, 2])
+                    f, c = (f1, c1) if c0 == FALSE else (f0, c0)
+                else:
+                    push([key, var, f1, c1, -1])
+                    f, c = f0, c0
+                continue
+        # UNWIND.
+        while stack:
+            top = stack[-1]
+            state = top[4]
+            if state < 0:
+                f, c = top[2], top[3]
+                top[2] = res
+                top[4] = 0
+                break
+            stack.pop()
+            if state == 0:
+                res = mgr.mk(top[1], top[2], res)
+            cache[top[0]] = res
+        else:
+            return res
 
 
 def constrain(f: Function, care: Function) -> Function:
@@ -64,43 +102,8 @@ def constrain(f: Function, care: Function) -> Function:
         raise ValueError("empty care set")
     mgr = f.bdd.manager
     mgr._maybe_maintain()
-    node = _constrain(mgr, f.node, care.node, {})
+    node = _dont_care(mgr, f.node, care.node, smooth=False)
     return Function(f.bdd, node)
-
-
-def _minimize(mgr: BddManager, f: int, c: int,
-              cache: Dict[Tuple[int, int], int]) -> int:
-    """Shiple's *restrict*: like constrain but skips care-set variables
-    that ``f`` does not mention, avoiding support growth."""
-    if c == TRUE or f <= TRUE:
-        return f
-    if c == FALSE:
-        return f
-    key = (f, c)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    level_f = mgr._node_level(f)
-    level_c = mgr._node_level(c)
-    if level_c < level_f:
-        # f does not depend on c's top variable: existentially smooth it
-        # out of the care set instead of introducing it into f.
-        merged = mgr._or(mgr.node_low(c), mgr.node_high(c))
-        result = _minimize(mgr, f, merged, cache)
-    else:
-        var = mgr._level2var[level_f]
-        f0, f1 = mgr.node_low(f), mgr.node_high(f)
-        c0, c1 = (mgr.node_low(c), mgr.node_high(c)) \
-            if level_c == level_f else (c, c)
-        if c0 == FALSE:
-            result = _minimize(mgr, f1, c1, cache)
-        elif c1 == FALSE:
-            result = _minimize(mgr, f0, c0, cache)
-        else:
-            result = mgr.mk(var, _minimize(mgr, f0, c0, cache),
-                            _minimize(mgr, f1, c1, cache))
-    cache[key] = result
-    return result
 
 
 def minimize_restrict(f: Function, care: Function) -> Function:
@@ -116,5 +119,5 @@ def minimize_restrict(f: Function, care: Function) -> Function:
         raise ValueError("empty care set")
     mgr = f.bdd.manager
     mgr._maybe_maintain()
-    node = _minimize(mgr, f.node, care.node, {})
+    node = _dont_care(mgr, f.node, care.node, smooth=True)
     return Function(f.bdd, node)

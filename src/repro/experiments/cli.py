@@ -148,8 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="cooperative per-case deadline: the case "
                              "stops itself and records the strongest "
                              "completed check's verdict as INCONCLUSIVE "
-                             "instead of being killed (defaults to "
-                             "0.9 x --timeout when --timeout is given)")
+                             "instead of being killed")
     parser.add_argument("--node-limit", type=int, default=None,
                         metavar="NODES",
                         help="max live BDD nodes per check; an "
@@ -218,11 +217,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Environment, not a parameter: spawn-based pool workers inherit
         # it, so per-case tracing works identically for --jobs N.
         os.environ["REPRO_TRACE_DIR"] = args.trace_dir
-    if args.soft_timeout is None and args.timeout is not None:
-        # Give the cooperative path a head start on the SIGKILL hard
-        # deadline, so a governed case degrades to INCONCLUSIVE (with
-        # its strongest completed verdict) instead of dying as TIMEOUT.
-        args.soft_timeout = 0.9 * args.timeout
 
     if args.experiment == "figures":
         return _run_figures()

@@ -330,18 +330,10 @@ def run_benchmark_row(name: str, spec: Circuit,
     re-running any subset of the campaign — or sharding it across
     workers — reproduces exactly the same cases.
     """
-    from ..jobs.aggregate import row_from_records
-    from ..jobs.spec import enumerate_cases
-    from ..jobs.worker import execute_case
+    from ..jobs.engine import run_campaign
 
-    records = []
-    for case in enumerate_cases(config, benchmarks=[name]):
-        records.append(execute_case(case, spec=spec))
-        if progress is not None:
-            progress("%s sel %d/%d err %d/%d" % (
-                name, case.selection + 1, config.selections,
-                case.error_index + 1, config.errors))
-    return row_from_records(name, records, config.checks)
+    return run_campaign(config, [name], spec_overrides={name: spec},
+                        progress=progress).rows[name]
 
 
 def run_table(config: ExperimentConfig,
@@ -352,22 +344,15 @@ def run_table(config: ExperimentConfig,
               resume: Optional[str] = None) -> List[BenchmarkRow]:
     """Run the campaign for every benchmark (one table of the paper).
 
-    ``jobs``/``timeout``/``journal``/``resume`` route execution through
-    the :mod:`repro.jobs` engine (parallel workers, per-case deadlines,
-    checkpoint/resume); the defaults keep the historic in-process
-    serial path.  All paths aggregate identically.
+    Execution goes through :func:`repro.jobs.engine.run_campaign`:
+    ``jobs``/``timeout`` select parallel workers and per-case
+    deadlines, ``journal``/``resume`` checkpointing; the defaults run
+    every case in-process.  All paths aggregate identically.
     """
-    names = list(config.benchmarks or BENCHMARK_FACTORIES)
-    if jobs > 1 or timeout is not None or journal or resume:
-        from ..jobs.engine import run_campaign
+    from ..jobs.engine import run_campaign
 
-        result = run_campaign(config, benchmarks=names, jobs=jobs,
-                              timeout=timeout, journal=journal,
-                              resume=resume, progress=progress)
-        return [result.rows[name] for name in names]
-    rows: List[BenchmarkRow] = []
-    for name in names:
-        spec = BENCHMARK_FACTORIES[name]()
-        rows.append(run_benchmark_row(name, spec, config,
-                                      progress=progress))
-    return rows
+    names = list(config.benchmarks or BENCHMARK_FACTORIES)
+    result = run_campaign(config, benchmarks=names, jobs=jobs,
+                          timeout=timeout, journal=journal,
+                          resume=resume, progress=progress)
+    return [result.rows[name] for name in names]

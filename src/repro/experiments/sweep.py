@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
-from .runner import CHECKS, ExperimentConfig, run_benchmark_row
+from .runner import CHECKS, ExperimentConfig
 
 __all__ = ["SweepPoint", "run_fraction_sweep", "format_sweep"]
 
@@ -45,13 +45,15 @@ def run_fraction_sweep(name: str, spec: Circuit,
         -> List[SweepPoint]:
     """Detection ratio per check over a range of boxed fractions.
 
-    ``jobs``/``timeout``/``journal``/``resume`` route each fraction's
-    campaign through the :mod:`repro.jobs` engine; one journal can hold
-    the whole sweep, since the boxed fraction is part of every case
-    key.  On the parallel path ``name`` must be a factory benchmark
-    (workers rebuild the spec by name).
+    Each fraction's campaign runs through
+    :func:`repro.jobs.engine.run_campaign`, with
+    ``jobs``/``timeout``/``journal``/``resume`` passed on; one journal
+    can hold the whole sweep, since the boxed fraction is part of every
+    case key.  On the parallel path ``name`` must be a factory
+    benchmark (workers rebuild the spec by name).
     """
-    use_engine = jobs > 1 or timeout is not None or journal or resume
+    from ..jobs.engine import run_campaign
+
     points: List[SweepPoint] = []
     for fraction in fractions:
         config = ExperimentConfig(
@@ -59,16 +61,10 @@ def run_fraction_sweep(name: str, spec: Circuit,
             selections=selections, errors=errors, patterns=patterns,
             seed=seed, checks=checks, node_limit=node_limit,
             soft_timeout=soft_timeout)
-        if use_engine:
-            from ..jobs.engine import run_campaign
-
-            row = run_campaign(config, benchmarks=[name], jobs=jobs,
-                               timeout=timeout, journal=journal,
-                               resume=resume, progress=progress,
-                               spec_overrides={name: spec}).rows[name]
-        else:
-            row = run_benchmark_row(name, spec, config,
-                                    progress=progress)
+        row = run_campaign(config, benchmarks=[name], jobs=jobs,
+                           timeout=timeout, journal=journal,
+                           resume=resume, progress=progress,
+                           spec_overrides={name: spec}).rows[name]
         point = SweepPoint(fraction=fraction, degraded=row.degraded_cases)
         for check in checks:
             point.detection[check] = row.detection_ratio(check)

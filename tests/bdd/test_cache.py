@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import Bdd, CacheConfig
-from repro.bdd._legacy import LegacyBdd
+from repro.bdd._legacy import LegacyBdd, LegacyBddManager
 from repro.bdd.cache import OP_NAMES
 
 NAMES = ["a", "b", "c", "d", "e"]
@@ -122,6 +122,44 @@ def test_legacy_matches_through_gc_and_reorder(program):
     assert current.manager.invariant_violations() == []
 
 
+#: Public op -> the ``LegacyBddManager`` override it must run.  Were a
+#: public op to bypass its override, the differentials above would
+#: compare the production kernels with themselves.
+_LEGACY_DISPATCH = {
+    "and": ("_and", lambda f, g, h: f & g),
+    "or": ("_or", lambda f, g, h: f | g),
+    "xor": ("_xor", lambda f, g, h: f ^ g),
+    "not": ("_not", lambda f, g, h: ~f),
+    "ite": ("_ite", lambda f, g, h: f.ite(g, h)),
+    "exists": ("_quantify", lambda f, g, h: f.exists(["a"])),
+    "forall": ("_quantify", lambda f, g, h: f.forall(["a"])),
+    "and_exists": ("_and_exists", lambda f, g, h: f.and_exists(g, ["a"])),
+    "restrict": ("_restrict", lambda f, g, h: f.restrict({"a": True})),
+    "compose": ("_compose", lambda f, g, h: f.compose({"a": g})),
+}
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("op", sorted(_LEGACY_DISPATCH))
+def test_legacy_ops_run_the_reference_kernels(op, monkeypatch):
+    """Break one reference kernel: its public op must fail with it."""
+    kernel, program = _LEGACY_DISPATCH[op]
+    assert kernel in vars(LegacyBddManager)
+    legacy = _fresh(cls=LegacyBdd)
+    a, b, c = (legacy.var(n) for n in "abc")
+    f, g, h = a ^ b, b | c, a & c
+
+    def broken(self, *args):
+        raise _Reached(kernel)
+
+    monkeypatch.setattr(LegacyBddManager, kernel, broken)
+    with pytest.raises(_Reached):
+        program(f, g, h)
+
+
 #: Work counters of the pinned program below: per-op (hits, misses,
 #: evictions), then (peak live nodes, GC runs, budget steps).  Journals
 #: report cache hits/misses per check and the portfolio races on budget
@@ -203,7 +241,7 @@ class TestEviction:
 
 class TestGcRetention:
     def test_live_entries_survive_gc_when_enabled(self):
-        bdd = _fresh(CacheConfig(keep_across_gc=True))
+        bdd = _fresh()
         a, b = bdd.var("a"), bdd.var("b")
         product = a & b  # operands and result all externally referenced
         bdd.manager.collect_garbage()
@@ -212,15 +250,8 @@ class TestGcRetention:
         assert again == product
         assert bdd.cache_stats()["total"]["hits"] == before + 1
 
-    def test_gc_clears_table_when_disabled(self):
-        bdd = _fresh(CacheConfig(keep_across_gc=False))
-        a, b = bdd.var("a"), bdd.var("b")
-        product = a & b
-        bdd.manager.collect_garbage()
-        assert bdd.cache_stats()["total"]["entries"] == 0
-
     def test_dead_entries_are_dropped_either_way(self):
-        bdd = _fresh(CacheConfig(keep_across_gc=True))
+        bdd = _fresh()
         a, b = bdd.var("a"), bdd.var("b")
         product = a & b
         del product  # drop the only reference -> dead node

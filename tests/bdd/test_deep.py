@@ -12,11 +12,14 @@ import sys
 
 import pytest
 
-from repro.bdd import Bdd
+from repro.bdd import Bdd, constrain, minimize_restrict
+from repro.bdd.function import Function
 from repro.bdd.manager import FALSE, TRUE
 
 #: Deeper than any plausible recursion limit by an order of magnitude.
 DEPTH = 50_000
+#: The bottom variable of the ``even`` chain.
+BOTTOM_EVEN = DEPTH - 2 if DEPTH % 2 == 0 else DEPTH - 1
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +92,7 @@ def test_exists_full_depth(deep):
     mgr = bdd.manager
     # Quantifying the bottom-most variable of the 25k-level even chain
     # forces the resolve loop through every level above it.
-    bottom_even = DEPTH - 2 if (DEPTH - 2) % 2 == 0 else DEPTH - 1
-    dropped = mgr.exists([bottom_even], even)
+    dropped = mgr.exists([BOTTOM_EVEN], even)
     assert mgr.size(dropped) == mgr.size(even) - 1
 
 
@@ -100,3 +102,60 @@ def test_sat_count_full_depth(deep):
     # A cube over half the variables: exactly 2^(DEPTH/2) models.
     assert mgr.sat_count(even, nvars=DEPTH) == 1 << (DEPTH // 2)
     assert mgr.support(even) == ["x%d" % i for i in range(0, DEPTH, 2)]
+
+
+def test_forall_full_depth(deep):
+    bdd, even, odd = deep
+    mgr = bdd.manager
+    # ¬even is a 25k-literal clause; ∀ of its bottom literal drops it.
+    neg = Function(bdd, mgr.apply_not(even))
+    dropped = mgr.forall([BOTTOM_EVEN], neg.node)
+    assert mgr.size(dropped) == neg.size() - 1
+
+
+def test_restrict_full_depth(deep):
+    bdd, even, odd = deep
+    mgr = bdd.manager
+    assert mgr.restrict(even, {BOTTOM_EVEN: False}) == FALSE
+    kept = mgr.restrict(even, {BOTTOM_EVEN: True})
+    assert mgr.size(kept) == mgr.size(even) - 1
+
+
+def test_compose_full_depth(deep):
+    bdd, even, odd = deep
+    mgr = bdd.manager
+    # Renaming the bottom even variable to the bottom odd one rebuilds
+    # the whole chain through ITE.
+    renamed = mgr.compose(even, {BOTTOM_EVEN: mgr.var_node(DEPTH - 1)})
+    assert mgr.size(renamed) == mgr.size(even)
+    assert mgr.support(renamed)[-1] == "x%d" % (DEPTH - 1)
+
+
+def test_ite_full_depth(deep):
+    bdd, even, odd = deep
+    mgr = bdd.manager
+    # No terminal rule applies at the root, so the ITE loop itself walks
+    # every level: ite(e, o, ¬e) = (e ∧ o) ∨ ¬e.
+    neg = Function(bdd, mgr.apply_not(even))
+    result = Function(bdd, mgr.apply_ite(even, odd, neg.node))
+    both = Function(bdd, mgr.apply_and(even, odd))
+    assert result.node == mgr.apply_or(both.node, neg.node)
+
+
+def test_and_exists_full_depth(deep):
+    bdd, even, odd = deep
+    mgr = bdd.manager
+    # ∃ bottom . even ∧ odd: the full cube minus one literal, built in
+    # one pass without the conjunction.
+    product = mgr.and_exists([BOTTOM_EVEN], even, odd)
+    assert mgr.size(product) == DEPTH + 1
+
+
+@pytest.mark.parametrize("op", [constrain, minimize_restrict])
+def test_dont_care_full_depth(deep, op):
+    bdd, even, odd = deep
+    # With odd as the care set, the odd literals of the full cube are
+    # don't-cares: both operators leave the even chain.
+    both = Function(bdd, bdd.manager.apply_and(even, odd))
+    care = Function(bdd, odd)
+    assert op(both, care).node == even

@@ -72,6 +72,23 @@ class TestCli:
         assert all(json.loads(line)["case"]["benchmark"] == "alu4"
                    for line in lines)
 
+    def test_timeout_keeps_the_campaign_identity(self, tmp_path):
+        # A hard deadline is not part of a case's coordinates, so
+        # resuming a serial journal with --jobs/--timeout finds every
+        # case done and appends nothing.
+        journal = str(tmp_path / "journal.jsonl")
+        campaign = ["table1", "--selections", "1", "--errors", "2",
+                    "--patterns", "50", "--benchmarks", "alu4,comp",
+                    "--quiet"]
+        assert main(campaign + ["--journal", journal]) == 0
+        assert main(campaign + ["--jobs", "2", "--timeout", "60",
+                                "--resume", journal]) == 0
+        with open(journal) as handle:
+            lines = handle.read().splitlines()
+        assert len(lines) == 4
+        assert all("soft_timeout" not in json.loads(line)["case"]
+                   for line in lines)
+
     def test_bad_jobs_and_timeout_rejected(self):
         with pytest.raises(SystemExit):
             main(["table1", "--jobs", "0"])

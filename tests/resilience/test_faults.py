@@ -81,6 +81,12 @@ _FAULT_PROGRAMS = {
     "ite": lambda bdd, xs, p, q, r: p.ite(q, r),
     "and_exists": lambda bdd, xs, p, q, r: p.and_exists(q, ["b", "g"]),
     "compose": lambda bdd, xs, p, q, r: p.compose({"a": q, "f": r}),
+    "exists": lambda bdd, xs, p, q, r: p.exists(["b", "g"]),
+    "forall": lambda bdd, xs, p, q, r: q.forall(["e", "f"]),
+    # Restrict is governed through node creation only, and one restrict
+    # of these operands creates at most 18 nodes: chain two.
+    "restrict": lambda bdd, xs, p, q, r:
+        p.restrict({"h": True}).restrict({"g": True}),
 }
 
 
