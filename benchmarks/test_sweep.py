@@ -5,7 +5,6 @@ remark in Section 3)."""
 import pytest
 
 from repro.experiments import format_sweep, run_fraction_sweep
-from repro.generators.benchmarks import BENCHMARK_FACTORIES
 
 from conftest import table_config
 
@@ -14,11 +13,9 @@ _BASE = table_config()
 
 @pytest.mark.parametrize("name", ["alu4", "comp", "term1"])
 def test_fraction_sweep(benchmark, name, capsys):
-    spec = BENCHMARK_FACTORIES[name]()
-
     def sweep():
         return run_fraction_sweep(
-            name, spec, fractions=(0.1, 0.25, 0.4),
+            name, fractions=(0.1, 0.25, 0.4),
             selections=_BASE.selections, errors=_BASE.errors,
             patterns=_BASE.patterns, seed=77)
 

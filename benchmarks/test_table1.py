@@ -10,8 +10,7 @@ import pytest
 from repro.experiments import (CHECKS, PAPER_TABLE1,
                                format_comparison, format_table,
                                run_benchmark_row)
-from repro.generators.benchmarks import BENCHMARK_FACTORIES, \
-    BENCHMARK_NAMES
+from repro.generators.benchmarks import BENCHMARK_NAMES
 
 from conftest import table_config
 
@@ -20,10 +19,8 @@ CONFIG = table_config(fraction=0.1, num_boxes=1, seed=2001)
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_table1_row(benchmark, name, bench_rows_cache):
-    spec = BENCHMARK_FACTORIES[name]()
-
     def campaign():
-        return run_benchmark_row(name, spec, CONFIG)
+        return run_benchmark_row(name, CONFIG)
 
     row = benchmark.pedantic(campaign, rounds=1, iterations=1)
     bench_rows_cache[("table1", name)] = row

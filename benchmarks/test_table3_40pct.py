@@ -8,8 +8,7 @@ Table 1 with fraction = 0.4.
 import pytest
 
 from repro.experiments import CHECKS, format_table, run_benchmark_row
-from repro.generators.benchmarks import BENCHMARK_FACTORIES, \
-    BENCHMARK_NAMES
+from repro.generators.benchmarks import BENCHMARK_NAMES
 
 from conftest import table_config
 
@@ -24,10 +23,8 @@ NAMES_40 = [n for n in BENCHMARK_NAMES if n != "apex3"]
 
 @pytest.mark.parametrize("name", NAMES_40)
 def test_table40_row(benchmark, name, bench_rows_cache):
-    spec = BENCHMARK_FACTORIES[name]()
-
     def campaign():
-        return run_benchmark_row(name, spec, CONFIG)
+        return run_benchmark_row(name, CONFIG)
 
     row = benchmark.pedantic(campaign, rounds=1, iterations=1)
     bench_rows_cache[("table40", name)] = row

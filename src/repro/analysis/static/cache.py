@@ -5,16 +5,18 @@ Entries are keyed by SHA-256 over::
     (cache format version,
      spec interface digest,   # canonical cone hashes, see .hashing
      impl interface digest,   # includes the Black Box interfaces
-     check level,             # "random_pattern", "ie", ...
+     rung name,               # "random_pattern", "input_exact", ...
      budget class,            # node limit + soft timeout, canonical
      patterns, seed,          # random-pattern checks only
-     variant)                 # e.g. "preflight" when the pair was
-                              # statically restricted first
+     variant)                 # "preflight", the strategy, and
+                              # "fresh-manager" for campaign entries
 
 and the payload is the stored verdict dict, replayed *exactly* on a
 hit (including its measured ``seconds`` and manager counters), so
 warm-cache aggregation is byte-identical to the cold run that filled
-the cache.
+the cache.  The key rule and the payload codec live in
+:mod:`repro.core.ladder` (``replay``/``store``), shared by the ladder
+and campaign cases; this module only stores and counts.
 
 Invalidation is purely content-addressed: there is none to manage.
 Renaming nets, reordering gate declarations or re-running an identical
@@ -42,7 +44,7 @@ from typing import Dict, Optional
 __all__ = ["CACHE_VERSION", "CheckCache", "budget_class"]
 
 #: Bump to retire all existing entries (key scheme / payload change).
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def budget_class(node_limit: Optional[int] = None,

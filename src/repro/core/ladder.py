@@ -5,11 +5,18 @@ with only a few random patterns, then symbolic 0,1,X simulation, Z_i
 simulation with local check, with output exact check and finally with
 input exact check."  Each rung is strictly more accurate and strictly
 more expensive; the ladder stops at the first error found.
+
+This module also owns how a rung runs on a pair, for the ladder and
+campaign cases alike: :func:`run_rung` (dispatch), :func:`rung_zero`
+(static rung 0) and :func:`replay`/:func:`store` (check-cache key and
+payload codec).  The ladder runs the rungs on one shared manager,
+:func:`repro.experiments.runner.run_one_case` each on a fresh one.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..bdd import default_bdd
 from ..circuit.netlist import Circuit
@@ -27,9 +34,13 @@ from .result import OUTCOME_OK, CheckResult
 from .symbolic01x import check_symbolic_01x
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..analysis.static.cache import CheckCache
+    from ..analysis.static.preflight import PreflightReport
     from ..resilience.budget import Budget
 
-__all__ = ["CHECK_ORDER", "run_ladder", "check_partial_equivalence"]
+__all__ = ["CHECK_ORDER", "run_ladder", "check_partial_equivalence",
+           "run_rung", "close_rung", "RungZero", "rung_zero", "replay",
+           "store"]
 
 #: Check names from cheapest/least accurate to priciest/most accurate.
 CHECK_ORDER = ("random_pattern", "symbolic_01x", "local", "output_exact",
@@ -117,58 +128,18 @@ def run_ladder(spec: Circuit, partial: PartialImplementation,
         diagnostics = list(lint_partial(partial))
     ordered = [c for c in CHECK_ORDER if c in checks]
     results: List[CheckResult] = []
-    ctx = None
     tracer = get_tracer()
 
-    # --- rung 0: static analysis (hashes, preflight, check cache) ---
-    report = None
-    static_stats: dict = {}
-    spec_digest = impl_digest = None
-    run_spec, run_partial = spec, partial
     if cache is not None and not hasattr(cache, "key"):
         from ..analysis.static.cache import CheckCache
 
         cache = CheckCache(str(cache))
-    if preflight or cache is not None:
-        from ..analysis.static.hashing import cone_hashes
-
-        spec_hashes = cone_hashes(spec)
-        impl_hashes = cone_hashes(partial.circuit, partial.boxes)
-        spec_digest = spec_hashes.digest
-        impl_digest = impl_hashes.digest
-    if preflight:
-        from ..analysis.static.preflight import (preflight as
-                                                 static_preflight,
-                                                 restrict_to_outputs)
-
-        span = None if tracer is None else tracer.span("preflight")
-        report = static_preflight(spec, partial, spec_hashes,
-                                  impl_hashes)
-        if span is not None:
-            span.done(**report.summary())
-        static_stats = {"static_" + k: v
-                        for k, v in report.summary().items()}
-        mismatch = report.mismatch
-        if mismatch is not None or report.all_discharged:
-            if mismatch is not None:
-                result = CheckResult(
-                    check="preflight", error_found=True,
-                    counterexample=report.counterexample,
-                    failing_output=report.failing_output,
-                    detail="static preflight: %s" % mismatch.reason,
-                    seconds=report.seconds)
-            else:
-                result = CheckResult(
-                    check="preflight", error_found=False, exact=True,
-                    detail="static preflight: all %d output cones "
-                           "discharged" % len(report.verdicts),
-                    seconds=report.seconds)
-            result.stats.update(static_stats)
-            result.diagnostics = list(diagnostics)
-            return [result]
-        if report.discharged:
-            run_spec, run_partial = restrict_to_outputs(
-                spec, partial, report.open_indices)
+    zero = rung_zero(spec, partial, preflight, hashed=cache is not None)
+    static_stats = zero.stats
+    if zero.decided is not None:
+        zero.decided.stats.update(static_stats)
+        zero.decided.diagnostics = list(diagnostics)
+        return [zero.decided]
 
     if bdd is None:
         bdd = default_bdd()
@@ -190,96 +161,51 @@ def run_ladder(spec: Circuit, partial: PartialImplementation,
         bdd.set_tracer(tracer)
         ladder_span = tracer.span("ladder", checks=list(ordered),
                                   circuit=spec.name)
+    context: list = [None]
     try:
         for name in ordered:
-            cache_key = None
+            key = result = None
             if cache is not None:
-                cache_key = cache.key(
-                    spec_digest, impl_digest, name,
-                    budget=_budget_class(budget),
-                    patterns=patterns if name == "random_pattern"
-                    else None,
-                    seed=seed if name == "random_pattern" else None,
-                    variant=",".join(
-                        part for part in
-                        ("preflight" if report is not None else "",
-                         strategy or "") if part))
-                payload = cache.get(cache_key)
-                if tracer is not None:
-                    tracer.instant("check_cache", check=name,
-                                   hit=payload is not None)
-                if payload is not None:
-                    result = _result_from_payload(name, payload)
-                    result.stats["check_cache"] = "hit"
+                key, result = replay(cache, zero, name, budget, patterns,
+                                     seed, strategy)
+            if result is not None:
+                result.stats["check_cache"] = "hit"
+            else:
+                span = None if tracer is None \
+                    else tracer.span("rung:%s" % name)
+                before = ManagerSnapshot.capture(bdd)
+                try:
+                    result = run_rung(name, zero.spec, zero.partial, bdd,
+                                      context, patterns, seed,
+                                      budget=budget, strategy=strategy)
+                except BudgetExceededError as exc:
+                    from ..resilience.degrade import inconclusive_result
+
+                    result = inconclusive_result(
+                        name, results, exc, peak_nodes=bdd.peak_live_nodes)
+                    close_rung(result, before, bdd, span)
                     result.diagnostics = list(diagnostics)
                     results.append(result)
-                    if result.error_found and stop_at_first_error:
-                        break
-                    if report is not None and result.exact \
-                            and not result.error_found:
-                        break
-                    continue
-            span = None if tracer is None \
-                else tracer.span("rung:%s" % name)
-            before = ManagerSnapshot.capture(bdd)
-            try:
-                if name == "random_pattern":
-                    result = check_random_patterns(
-                        run_spec, run_partial, patterns=patterns,
-                        seed=seed, budget=budget)
-                elif name == "symbolic_01x":
-                    if strategy is not None:
-                        result = race_symbolic_01x(
-                            run_spec, run_partial, bdd, budget=budget,
-                            strategy=strategy)
-                    else:
-                        result = check_symbolic_01x(run_spec,
-                                                    run_partial, bdd)
-                elif name == "output_exact" and strategy is not None:
-                    holder = [ctx]
-                    result = race_output_exact(
-                        run_spec, run_partial, bdd, holder,
-                        budget=budget, strategy=strategy)
-                    ctx = holder[0]
-                else:
-                    if ctx is None:
-                        ctx = prepare_context(run_spec, run_partial,
-                                              bdd)
-                    if name == "local":
-                        result = local_check_from_context(ctx)
-                    elif name == "output_exact":
-                        result = output_exact_from_context(ctx)
-                    else:
-                        result = input_exact_from_context(ctx)
-            except BudgetExceededError as exc:
-                from ..resilience.degrade import inconclusive_result
-
-                result = inconclusive_result(
-                    name, results, exc, peak_nodes=bdd.peak_live_nodes)
-                _close_rung(result, before, bdd, span)
-                result.diagnostics = list(diagnostics)
-                results.append(result)
-                break
-            if (report is not None and name == "symbolic_01x"
-                    and report.box_free and not result.error_found
-                    and result.outcome == OUTCOME_OK):
-                # The pair is statically box-free: the 0,1,X rung was a
-                # plain miter and its verdict is exact — the pricier
-                # rungs cannot add anything.
-                result.exact = True
-                result.detail = ((result.detail + "; ")
-                                 if result.detail else "") + \
-                    "statically box-free pair: miter verdict is exact"
-            if static_stats:
+                    break
+                if (zero.report is not None and name == "symbolic_01x"
+                        and zero.report.box_free and not result.error_found
+                        and result.outcome == OUTCOME_OK):
+                    # The pair is statically box-free: the 0,1,X rung was
+                    # a plain miter and its verdict is exact — the
+                    # pricier rungs cannot add anything.
+                    result.exact = True
+                    result.detail = ((result.detail + "; ")
+                                     if result.detail else "") + \
+                        "statically box-free pair: miter verdict is exact"
                 result.stats.update(static_stats)
-            _close_rung(result, before, bdd, span)
+                close_rung(result, before, bdd, span)
+                if cache is not None:
+                    store(cache, key, result)
             result.diagnostics = list(diagnostics)
             results.append(result)
-            if cache is not None and result.outcome == OUTCOME_OK:
-                cache.put(cache_key, _result_payload(result))
             if result.error_found and stop_at_first_error:
                 break
-            if report is not None and result.exact \
+            if zero.report is not None and result.exact \
                     and not result.error_found:
                 break
     finally:
@@ -290,15 +216,183 @@ def run_ladder(spec: Circuit, partial: PartialImplementation,
     return results
 
 
-def _budget_class(budget) -> str:
-    """Canonical budget-class string for cache keys (see
-    :func:`repro.analysis.static.cache.budget_class`)."""
+def run_rung(name: str, spec: Circuit, partial: PartialImplementation,
+             bdd, context: list, patterns: int, seed: Optional[int],
+             budget: "Optional[Budget]" = None,
+             strategy: Optional[str] = None,
+             rp_engine: str = "packed") -> CheckResult:
+    """Run rung ``name`` on one pair: the one rung dispatch.
+
+    The random-pattern rung never touches ``bdd`` (campaigns pass
+    ``None``).  ``context`` is a one-slot list holding the Z_i context:
+    the first Z_i rung builds it on ``bdd``, later rungs on the same
+    manager reuse it.  A budget trip raises :class:`BudgetExceededError`.
+    """
+    if name == "random_pattern":
+        return check_random_patterns(spec, partial, patterns=patterns,
+                                     seed=seed, budget=budget,
+                                     engine=rp_engine)
+    if name == "symbolic_01x":
+        if strategy is not None:
+            return race_symbolic_01x(spec, partial, bdd, budget=budget,
+                                     strategy=strategy)
+        return check_symbolic_01x(spec, partial, bdd)
+    if name == "output_exact" and strategy is not None:
+        return race_output_exact(spec, partial, bdd, context,
+                                 budget=budget, strategy=strategy)
+    if context[0] is None:
+        context[0] = prepare_context(spec, partial, bdd)
+    if name == "local":
+        return local_check_from_context(context[0])
+    if name == "output_exact":
+        return output_exact_from_context(context[0])
+    return input_exact_from_context(context[0])
+
+
+def close_rung(result: CheckResult, before: Optional[ManagerSnapshot],
+               bdd, span) -> None:
+    """Record one rung's manager-counter delta; close its span.
+
+    Deltas of the monotone counters stay exact when rungs share a
+    manager.  A random-pattern rung without a manager, or with an
+    all-zero delta, keeps its stats free of BDD noise.
+    """
+    args = {}
+    if bdd is not None:
+        after = ManagerSnapshot.capture(bdd)
+        delta = before.delta(after)
+        touched = (delta["cache_hits"] or delta["cache_misses"]
+                   or delta["gc_runs"] or delta["reorders"])
+        if result.check != "random_pattern" or touched:
+            result.stats.update(delta)
+        args = dict(live_nodes=after.live_nodes,
+                    peak_nodes=after.peak_nodes,
+                    cache_hits=delta["cache_hits"],
+                    cache_misses=delta["cache_misses"],
+                    gc_runs=delta["gc_runs"], reorders=delta["reorders"])
+    if span is not None:
+        span.done(verdict=result.outcome, error_found=result.error_found,
+                  seconds=result.seconds, **args)
+
+
+@dataclass
+class RungZero:
+    """Rung 0's output: the pair the rungs run on (restricted to the
+    undecided outputs after a partial discharge), the input pair's
+    cache digests, the preflight report, and the preflight's verdict
+    when it ``decided`` the whole pair."""
+
+    spec: Circuit
+    partial: PartialImplementation
+    spec_digest: str = ""
+    impl_digest: str = ""
+    report: "Optional[PreflightReport]" = None
+    decided: Optional[CheckResult] = None
+
+    @property
+    def stats(self) -> dict:
+        """The preflight summary as ``static_*`` result stats."""
+        if self.report is None:
+            return {}
+        return {"static_" + k: v for k, v in self.report.summary().items()}
+
+
+def rung_zero(spec: Circuit, partial: PartialImplementation,
+              preflight: bool, hashed: bool,
+              spec_hashes=None) -> RungZero:
+    """Static rung 0: cone hashes, preflight, output restriction.
+
+    The pair is hashed when a check cache needs its digests
+    (``hashed``) or the preflight runs; a caller checking many
+    partials against one spec passes the spec's memoised
+    ``spec_hashes``.  No BDD is involved.
+    """
+    zero = RungZero(spec, partial)
+    if not (preflight or hashed):
+        return zero
+    from ..analysis.static.hashing import cone_hashes
+
+    if spec_hashes is None:
+        spec_hashes = cone_hashes(spec)
+    impl_hashes = cone_hashes(partial.circuit, partial.boxes)
+    zero.spec_digest = spec_hashes.digest
+    zero.impl_digest = impl_hashes.digest
+    if not preflight:
+        return zero
+    from ..analysis.static.preflight import (preflight as static_preflight,
+                                             restrict_to_outputs)
+
+    tracer = get_tracer()
+    span = None if tracer is None else tracer.span("preflight")
+    report = static_preflight(spec, partial, spec_hashes, impl_hashes)
+    if span is not None:
+        span.done(**report.summary())
+    zero.report = report
+    if report.mismatch is not None:
+        zero.decided = CheckResult(
+            check="preflight", error_found=True,
+            counterexample=report.counterexample,
+            failing_output=report.failing_output,
+            detail="static preflight: %s" % report.mismatch.reason,
+            seconds=report.seconds)
+    elif report.all_discharged:
+        zero.decided = CheckResult(
+            check="preflight", error_found=False, exact=True,
+            detail="static preflight: all %d output cones discharged"
+                   % len(report.verdicts),
+            seconds=report.seconds)
+    elif report.discharged:
+        zero.spec, zero.partial = restrict_to_outputs(
+            spec, partial, report.open_indices)
+    return zero
+
+
+def replay(cache: "CheckCache", zero: RungZero, name: str,
+           budget: "Optional[Budget]", patterns: int,
+           seed: Optional[int], strategy: Optional[str],
+           fresh_manager: bool = False)\
+        -> Tuple[str, Optional[CheckResult]]:
+    """Rung ``name``'s check-cache key and its stored verdict, if any.
+
+    The key covers the budget class, the preflight (it may restrict
+    the pair) and the strategy, plus the pattern count and seed of a
+    random-pattern verdict.  ``fresh_manager`` marks a campaign entry:
+    measured on a fresh manager per check, its counters differ from
+    the ladder's shared-manager ones, so the two never share a key.
+    An entry the codec cannot decode counts as a miss, and the caller
+    re-runs the rung and overwrites it.
+    """
     from ..analysis.static.cache import budget_class
 
-    if budget is None:
-        return budget_class()
-    return budget_class(getattr(budget, "max_live_nodes", None),
-                        getattr(budget, "wall_seconds", None))
+    sampled = name == "random_pattern"
+    key = cache.key(
+        zero.spec_digest, zero.impl_digest, name,
+        budget=budget_class(budget.max_live_nodes, budget.wall_seconds)
+        if budget is not None else budget_class(),
+        patterns=patterns if sampled else None,
+        seed=seed if sampled else None,
+        variant=",".join(part for part in (
+            "preflight" if zero.report is not None else "",
+            strategy or "", "fresh-manager" if fresh_manager else "")
+            if part))
+    payload = cache.get(key)
+    result = None
+    if payload is not None:
+        try:
+            result = _result_from_payload(name, payload)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            cache.hits -= 1  # get() counted a hit for the foreign entry
+            cache.misses += 1
+    tracer = get_tracer()
+    if tracer is not None:
+        tracer.instant("check_cache", check=name, hit=result is not None)
+    return key, result
+
+
+def store(cache: "CheckCache", key: str, result: CheckResult) -> None:
+    """Store an authoritative (``ok``) verdict under ``key``."""
+    if result.outcome == OUTCOME_OK:
+        cache.put(key, _result_payload(result))
 
 
 def _result_payload(result: CheckResult) -> dict:
@@ -321,47 +415,22 @@ def _result_payload(result: CheckResult) -> dict:
 
 
 def _result_from_payload(check: str, payload: dict) -> CheckResult:
-    counterexample = payload.get("counterexample")
+    """Inverse of :func:`_result_payload`; raises on any other dict."""
+    if payload["outcome"] != OUTCOME_OK:
+        raise ValueError("only authoritative verdicts are stored")
+    counterexample = payload["counterexample"]
     if counterexample is not None:
         counterexample = {str(net): bool(bit)
                           for net, bit in counterexample.items()}
     return CheckResult(
         check=check,
         error_found=bool(payload["error_found"]),
-        exact=bool(payload.get("exact", False)),
+        exact=bool(payload["exact"]),
         counterexample=counterexample,
-        failing_output=payload.get("failing_output"),
-        detail=payload.get("detail", ""),
-        seconds=float(payload.get("seconds", 0.0)),
-        outcome=payload.get("outcome", OUTCOME_OK),
-        stats=dict(payload.get("stats", {})))
-
-
-def _close_rung(result: CheckResult, before: ManagerSnapshot, bdd,
-                span) -> None:
-    """Record one rung's manager-counter delta; close its span.
-
-    The rungs share one manager, so per-rung numbers are deltas of the
-    monotone counters (``clear_cache`` drops entries, never counts).
-    The random-pattern rung never touches the manager; its all-zero
-    delta is skipped to keep its stats free of BDD noise.
-    """
-    after = ManagerSnapshot.capture(bdd)
-    delta = before.delta(after)
-    touched = (delta["cache_hits"] or delta["cache_misses"]
-               or delta["gc_runs"] or delta["reorders"])
-    if result.check != "random_pattern" or touched:
-        result.stats.update(delta)
-    if span is not None:
-        span.done(verdict=result.outcome,
-                  error_found=result.error_found,
-                  seconds=result.seconds,
-                  live_nodes=after.live_nodes,
-                  peak_nodes=after.peak_nodes,
-                  cache_hits=delta["cache_hits"],
-                  cache_misses=delta["cache_misses"],
-                  gc_runs=delta["gc_runs"],
-                  reorders=delta["reorders"])
+        failing_output=payload["failing_output"],
+        detail=str(payload["detail"]),
+        seconds=float(payload["seconds"]),
+        stats=dict(payload["stats"]))
 
 
 def check_partial_equivalence(spec: Circuit,

@@ -235,7 +235,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(file=sys.stderr)
 
     if args.experiment == "sweep":
-        from ..generators.benchmarks import BENCHMARK_FACTORIES
         from .sweep import format_sweep, run_fraction_sweep
 
         names = ([n.strip() for n in args.benchmarks.split(",")]
@@ -246,8 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for bench_name in names:
             try:
                 points = run_fraction_sweep(
-                    bench_name, BENCHMARK_FACTORIES[bench_name](),
-                    errors=args.errors or 6,
+                    bench_name, errors=args.errors or 6,
                     selections=args.selections or 1,
                     patterns=args.patterns or 300, seed=args.seed,
                     progress=progress, jobs=args.jobs,

@@ -10,34 +10,29 @@ check) and run times — the columns of Tables 1 and 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bdd import default_bdd
 from ..circuit.netlist import Circuit
-from ..obs import ManagerSnapshot, get_tracer
-from ..core.input_exact import input_exact_from_context
-from ..core.local_check import local_check_from_context
-from ..core.output_exact import output_exact_from_context
-from ..core.common import prepare_context
-from ..core.random_pattern import check_random_patterns
+from ..core.ladder import close_rung, run_rung
+from ..core.portfolio import normalize_strategy
 from ..core.result import CheckResult
-from ..core.symbolic01x import check_symbolic_01x
 from ..generators.benchmarks import BENCHMARK_FACTORIES
+from ..jobs.aggregate import BenchmarkRow
+from ..jobs.engine import run_campaign
+from ..obs import ManagerSnapshot, get_tracer
 from ..partial.blackbox import PartialImplementation
 from ..sim.symbolic import symbolic_simulate
 
-# NOTE: repro.jobs imports this module at import time (for
-# BenchmarkRow / run_one_case), so everything from repro.jobs must be
-# imported lazily inside functions here.
-
-__all__ = ["CHECKS", "ExperimentConfig", "BenchmarkRow", "run_one_case",
-           "run_benchmark_row", "run_table"]
+__all__ = ["CHECKS", "CHECK_RUNGS", "ExperimentConfig", "BenchmarkRow",
+           "run_one_case", "run_benchmark_row", "run_table"]
 
 #: Check short names in paper column order.
 CHECKS = ("r.p.", "0,1,X", "loc.", "oe", "ie")
 
-_CHECK_KEYS = {
+#: Column name -> the ladder rung it runs (:data:`repro.core.CHECK_ORDER`).
+CHECK_RUNGS = {
     "r.p.": "random_pattern",
     "0,1,X": "symbolic_01x",
     "loc.": "local",
@@ -92,95 +87,6 @@ class ExperimentConfig:
         return cls(**params)
 
 
-@dataclass
-class BenchmarkRow:
-    """One row of a results table (aggregated over all cases).
-
-    A campaign may degrade gracefully: cases whose check was killed at
-    a deadline (``timeouts``) or raised (``check_errors``) are excluded
-    from the per-check denominators (``valid``) and from the node/time
-    averages, and counted separately so tables can report them.
-    """
-
-    circuit: str
-    inputs: int
-    outputs: int
-    spec_nodes: int
-    cases: int = 0
-    detected: Dict[str, float] = field(default_factory=dict)
-    impl_nodes: Dict[str, float] = field(default_factory=dict)
-    peak_nodes: Dict[str, float] = field(default_factory=dict)
-    #: mean seconds per case, per check
-    runtime: Dict[str, float] = field(default_factory=dict)
-    #: seconds-per-case distribution tails over valid cases, per check
-    #: (nearest-rank percentiles — deterministic, no interpolation)
-    runtime_p50: Dict[str, float] = field(default_factory=dict)
-    runtime_p95: Dict[str, float] = field(default_factory=dict)
-    #: total dynamic-reordering passes / garbage collections, per check
-    #: (summed over valid cases, from the per-check manager counters)
-    reorders: Dict[str, int] = field(default_factory=dict)
-    gc_runs: Dict[str, int] = field(default_factory=dict)
-    #: total computed-table hits / misses / evictions, per check
-    #: (summed over valid cases; see :meth:`cache_hit_rate`)
-    cache_hits: Dict[str, int] = field(default_factory=dict)
-    cache_misses: Dict[str, int] = field(default_factory=dict)
-    cache_evictions: Dict[str, int] = field(default_factory=dict)
-    #: cases with a usable verdict, per check (defaults to ``cases``)
-    valid: Dict[str, int] = field(default_factory=dict)
-    #: cases killed at the campaign deadline, per check
-    timeouts: Dict[str, int] = field(default_factory=dict)
-    #: cases whose check raised, per check
-    check_errors: Dict[str, int] = field(default_factory=dict)
-    #: cases stopped cooperatively at a resource budget, per check
-    #: (their best-effort verdict lives in the strongest-level fold)
-    inconclusive: Dict[str, int] = field(default_factory=dict)
-    #: budget-degraded cases whose strongest *completed* level still
-    #: detected the error (numerator) / reached any verdict at all
-    #: (denominator) — the best-effort detection the tables footnote
-    strongest_detected: int = 0
-    strongest_valid: int = 0
-    #: verdicts replayed from the content-addressed check cache, per
-    #: check (the replayed numbers are byte-identical to an execution,
-    #: so these cases also count in ``valid`` and the averages)
-    check_cache_hits: Dict[str, int] = field(default_factory=dict)
-    #: portfolio race outcomes, per check: how many valid cases each
-    #: engine answered first (all zero without ``strategy=``; see
-    #: :mod:`repro.core.portfolio`)
-    sat_wins: Dict[str, int] = field(default_factory=dict)
-    bdd_wins: Dict[str, int] = field(default_factory=dict)
-    #: output cones the static preflight discharged, summed over cases
-    discharged_outputs: int = 0
-    #: total wall-clock spent on this row's cases
-    wall_seconds: float = 0.0
-
-    def detection_ratio(self, check: str) -> float:
-        """Fraction of inserted errors the check reported, in percent.
-
-        Timed-out / errored cases do not count as "not detected": the
-        denominator is the number of cases with a usable verdict.
-        """
-        denominator = self.valid.get(check, self.cases)
-        if not denominator:
-            return 0.0
-        return 100.0 * self.detected.get(check, 0) / denominator
-
-    def cache_hit_rate(self, check: str) -> float:
-        """Computed-table hit rate of one check, over its valid cases."""
-        hits = self.cache_hits.get(check, 0)
-        lookups = hits + self.cache_misses.get(check, 0)
-        if not lookups:
-            return 0.0
-        return hits / lookups
-
-    @property
-    def degraded_cases(self) -> int:
-        """Check executions without an authoritative verdict
-        (timeouts + errors + budget-inconclusive)."""
-        return (sum(self.timeouts.values())
-                + sum(self.check_errors.values())
-                + sum(self.inconclusive.values()))
-
-
 def run_one_case(spec: Circuit, partial: PartialImplementation,
                  checks: Sequence[str], patterns: int,
                  seed: int, budget=None,
@@ -210,9 +116,6 @@ def run_one_case(spec: Circuit, partial: PartialImplementation,
     see :mod:`repro.core.portfolio`); the winning engine lands in the
     result's ``stats["engine"]``.
     """
-    from ..core.portfolio import (normalize_strategy,
-                                  race_output_exact, race_symbolic_01x)
-
     strategy = normalize_strategy(strategy)
     if bdd_factory is None:
         bdd_factory = default_bdd
@@ -220,23 +123,15 @@ def run_one_case(spec: Circuit, partial: PartialImplementation,
     results: Dict[str, CheckResult] = {}
     for short in checks:
         try:
-            key = _CHECK_KEYS[short]
+            name = CHECK_RUNGS[short]
         except KeyError:
             raise ValueError("unknown check %r (choose from %s)"
                              % (short, ", ".join(CHECKS))) from None
         span = None if tracer is None \
-            else tracer.span("check:%s" % key)
+            else tracer.span("check:%s" % name)
         try:
-            if key == "random_pattern":
-                results[short] = check_random_patterns(
-                    spec, partial, patterns=patterns, seed=seed,
-                    budget=budget, engine=rp_engine)
-                if span is not None:
-                    result = results[short]
-                    span.note(verdict=result.outcome,
-                              error_found=result.error_found,
-                              seconds=result.seconds)
-            else:
+            bdd = before = None
+            if name != "random_pattern":
                 bdd = bdd_factory()
                 if budget is not None:
                     budget.start()
@@ -244,59 +139,15 @@ def run_one_case(spec: Circuit, partial: PartialImplementation,
                 if tracer is not None:
                     bdd.set_tracer(tracer)
                 before = ManagerSnapshot.capture(bdd)
-                if key == "symbolic_01x":
-                    if strategy is not None:
-                        results[short] = race_symbolic_01x(
-                            spec, partial, bdd, budget=budget,
-                            strategy=strategy)
-                    else:
-                        results[short] = check_symbolic_01x(
-                            spec, partial, bdd)
-                elif key == "output_exact" and strategy is not None:
-                    results[short] = race_output_exact(
-                        spec, partial, bdd, budget=budget,
-                        strategy=strategy)
-                else:
-                    ctx = prepare_context(spec, partial, bdd)
-                    if key == "local":
-                        results[short] = local_check_from_context(ctx)
-                    elif key == "output_exact":
-                        results[short] = output_exact_from_context(ctx)
-                    else:
-                        results[short] = input_exact_from_context(ctx)
-                _attach_cache_stats(results[short], bdd, before)
-                if span is not None:
-                    result = results[short]
-                    span.note(verdict=result.outcome,
-                              error_found=result.error_found,
-                              seconds=result.seconds,
-                              peak_nodes=bdd.peak_live_nodes,
-                              cache_hits=result.stats["cache_hits"],
-                              cache_misses=result.stats["cache_misses"])
+            result = run_rung(name, spec, partial, bdd, [None], patterns,
+                              seed, budget=budget, strategy=strategy,
+                              rp_engine=rp_engine)
+            close_rung(result, before, bdd, span)
+            results[short] = result
         finally:
             if span is not None:
                 span.done()
     return results
-
-
-def _attach_cache_stats(result: CheckResult, bdd,
-                        before: Optional[ManagerSnapshot] = None)\
-        -> None:
-    """Fold the manager's computed-table traffic into ``result.stats``.
-
-    The traffic is the *delta* against the ``before`` snapshot taken
-    when this check started on the manager.  For the usual fresh
-    manager the delta equals the totals; when a caller reuses one
-    manager across consecutive checks (a custom ``bdd_factory``), the
-    snapshot keeps each check's numbers its own — attributing the
-    cumulative totals to every check double-counted the earlier
-    checks' traffic (regression-tested in
-    ``tests/obs/test_ladder_tracing.py``).  The maintenance deltas
-    (``gc_runs``, ``reorders``) ride along for campaign aggregation.
-    """
-    if before is None:
-        before = ManagerSnapshot()
-    result.stats.update(before.delta(ManagerSnapshot.capture(bdd)))
 
 
 def _tune_spec(spec: Circuit) -> Tuple[Circuit, int]:
@@ -318,22 +169,20 @@ def _tune_spec(spec: Circuit) -> Tuple[Circuit, int]:
     return spec.with_input_order(tuned), nodes
 
 
-def run_benchmark_row(name: str, spec: Circuit,
-                      config: ExperimentConfig,
+def run_benchmark_row(name: str, config: ExperimentConfig,
                       progress: Optional[Callable[[str], None]] = None)\
         -> BenchmarkRow:
-    """Run the full campaign for one benchmark circuit, in-process.
+    """Run the full campaign for one factory benchmark, in-process.
 
     Cases are enumerated and executed through :mod:`repro.jobs`, so the
     per-case seeds are derived from coordinates (benchmark, selection,
-    error index) rather than consumed from a shared sequential stream:
-    re-running any subset of the campaign — or sharding it across
+    error index) rather than consumed from a shared sequential stream,
+    and every case rebuilds its spec from
+    :data:`~repro.generators.benchmarks.BENCHMARK_FACTORIES` by name:
+    re-running any subset of the campaign — or spreading it across
     workers — reproduces exactly the same cases.
     """
-    from ..jobs.engine import run_campaign
-
-    return run_campaign(config, [name], spec_overrides={name: spec},
-                        progress=progress).rows[name]
+    return run_campaign(config, [name], progress=progress).rows[name]
 
 
 def run_table(config: ExperimentConfig,
@@ -349,8 +198,6 @@ def run_table(config: ExperimentConfig,
     deadlines, ``journal``/``resume`` checkpointing; the defaults run
     every case in-process.  All paths aggregate identically.
     """
-    from ..jobs.engine import run_campaign
-
     names = list(config.benchmarks or BENCHMARK_FACTORIES)
     result = run_campaign(config, benchmarks=names, jobs=jobs,
                           timeout=timeout, journal=journal,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..circuit.netlist import Circuit
+from ..jobs.engine import run_campaign
 from .runner import CHECKS, ExperimentConfig
 
 __all__ = ["SweepPoint", "run_fraction_sweep", "format_sweep"]
@@ -29,7 +29,7 @@ class SweepPoint:
     degraded: int = 0
 
 
-def run_fraction_sweep(name: str, spec: Circuit,
+def run_fraction_sweep(name: str,
                        fractions: Sequence[float] = (0.1, 0.2, 0.3, 0.4),
                        num_boxes: int = 1,
                        selections: int = 1, errors: int = 6,
@@ -45,15 +45,14 @@ def run_fraction_sweep(name: str, spec: Circuit,
         -> List[SweepPoint]:
     """Detection ratio per check over a range of boxed fractions.
 
+    ``name`` is a factory benchmark: every case rebuilds its spec from
+    :data:`~repro.generators.benchmarks.BENCHMARK_FACTORIES` by name.
     Each fraction's campaign runs through
     :func:`repro.jobs.engine.run_campaign`, with
     ``jobs``/``timeout``/``journal``/``resume`` passed on; one journal
     can hold the whole sweep, since the boxed fraction is part of every
-    case key.  On the parallel path ``name`` must be a factory
-    benchmark (workers rebuild the spec by name).
+    case key.
     """
-    from ..jobs.engine import run_campaign
-
     points: List[SweepPoint] = []
     for fraction in fractions:
         config = ExperimentConfig(
@@ -63,8 +62,7 @@ def run_fraction_sweep(name: str, spec: Circuit,
             soft_timeout=soft_timeout)
         row = run_campaign(config, benchmarks=[name], jobs=jobs,
                            timeout=timeout, journal=journal,
-                           resume=resume, progress=progress,
-                           spec_overrides={name: spec}).rows[name]
+                           resume=resume, progress=progress).rows[name]
         point = SweepPoint(fraction=fraction, degraded=row.degraded_cases)
         for check in checks:
             point.detection[check] = row.detection_ratio(check)

@@ -18,15 +18,105 @@ detection counters (``strongest_detected`` / ``strongest_valid``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from ..core.result import (OUTCOME_INCONCLUSIVE, OUTCOME_OK,
                            OUTCOME_TIMEOUT)
-from ..experiments.runner import BenchmarkRow
 from .journal import CaseRecord
 
-__all__ = ["row_from_records", "fold_records", "sort_records",
-           "nearest_rank"]
+__all__ = ["BenchmarkRow", "row_from_records", "fold_records",
+           "sort_records", "nearest_rank"]
+
+
+@dataclass
+class BenchmarkRow:
+    """One row of a results table (aggregated over all cases).
+
+    A campaign may degrade gracefully: cases whose check was killed at
+    a deadline (``timeouts``) or raised (``check_errors``) are excluded
+    from the per-check denominators (``valid``) and from the node/time
+    averages, and counted separately so tables can report them.
+    """
+
+    circuit: str
+    inputs: int
+    outputs: int
+    spec_nodes: int
+    cases: int = 0
+    detected: Dict[str, float] = field(default_factory=dict)
+    impl_nodes: Dict[str, float] = field(default_factory=dict)
+    peak_nodes: Dict[str, float] = field(default_factory=dict)
+    #: mean seconds per case, per check
+    runtime: Dict[str, float] = field(default_factory=dict)
+    #: seconds-per-case distribution tails over valid cases, per check
+    #: (nearest-rank percentiles — deterministic, no interpolation)
+    runtime_p50: Dict[str, float] = field(default_factory=dict)
+    runtime_p95: Dict[str, float] = field(default_factory=dict)
+    #: total dynamic-reordering passes / garbage collections, per check
+    #: (summed over valid cases, from the per-check manager counters)
+    reorders: Dict[str, int] = field(default_factory=dict)
+    gc_runs: Dict[str, int] = field(default_factory=dict)
+    #: total computed-table hits / misses / evictions, per check
+    #: (summed over valid cases; see :meth:`cache_hit_rate`)
+    cache_hits: Dict[str, int] = field(default_factory=dict)
+    cache_misses: Dict[str, int] = field(default_factory=dict)
+    cache_evictions: Dict[str, int] = field(default_factory=dict)
+    #: cases with a usable verdict, per check (defaults to ``cases``)
+    valid: Dict[str, int] = field(default_factory=dict)
+    #: cases killed at the campaign deadline, per check
+    timeouts: Dict[str, int] = field(default_factory=dict)
+    #: cases whose check raised, per check
+    check_errors: Dict[str, int] = field(default_factory=dict)
+    #: cases stopped cooperatively at a resource budget, per check
+    #: (their best-effort verdict lives in the strongest-level fold)
+    inconclusive: Dict[str, int] = field(default_factory=dict)
+    #: budget-degraded cases whose strongest *completed* level still
+    #: detected the error (numerator) / reached any verdict at all
+    #: (denominator) — the best-effort detection the tables footnote
+    strongest_detected: int = 0
+    strongest_valid: int = 0
+    #: verdicts replayed from the content-addressed check cache, per
+    #: check (the replayed numbers are byte-identical to an execution,
+    #: so these cases also count in ``valid`` and the averages)
+    check_cache_hits: Dict[str, int] = field(default_factory=dict)
+    #: portfolio race outcomes, per check: how many valid cases each
+    #: engine answered first (all zero without ``strategy=``; see
+    #: :mod:`repro.core.portfolio`)
+    sat_wins: Dict[str, int] = field(default_factory=dict)
+    bdd_wins: Dict[str, int] = field(default_factory=dict)
+    #: output cones the static preflight discharged, summed over cases
+    discharged_outputs: int = 0
+    #: total wall-clock spent on this row's cases
+    wall_seconds: float = 0.0
+
+    def detection_ratio(self, check: str) -> float:
+        """Fraction of inserted errors the check reported, in percent.
+
+        Timed-out / errored cases do not count as "not detected": the
+        denominator is the number of cases with a usable verdict.
+        """
+        denominator = self.valid.get(check, self.cases)
+        if not denominator:
+            return 0.0
+        return 100.0 * self.detected.get(check, 0) / denominator
+
+    def cache_hit_rate(self, check: str) -> float:
+        """Computed-table hit rate of one check, over its valid cases."""
+        hits = self.cache_hits.get(check, 0)
+        lookups = hits + self.cache_misses.get(check, 0)
+        if not lookups:
+            return 0.0
+        return hits / lookups
+
+    @property
+    def degraded_cases(self) -> int:
+        """Check executions without an authoritative verdict
+        (timeouts + errors + budget-inconclusive)."""
+        return (sum(self.timeouts.values())
+                + sum(self.check_errors.values())
+                + sum(self.inconclusive.values()))
+
 
 
 def sort_records(records: Sequence[CaseRecord]) -> List[CaseRecord]:

@@ -9,9 +9,11 @@ parallel paths share.  The flow is:
    case key matches the current campaign is kept — only the remainder
    executes;
 3. pending cases run inline (``jobs == 1`` and no timeout) or on the
-   spawn pool (:mod:`repro.jobs.pool`); finished cases are appended to
-   the journal in canonical case order.  A case that finishes before
-   an earlier one waits in memory until its predecessors are written,
+   spawn pool (:mod:`repro.jobs.pool`); either way
+   :func:`~repro.jobs.worker.execute_case` rebuilds each case from its
+   coordinates alone.  Finished cases are appended to the journal in
+   canonical case order.  A case that finishes before an earlier one
+   waits in memory until its predecessors are written,
    so a serial and a ``--jobs N`` journal match byte for byte except
    for the measured ``seconds`` fields.  An exception or Ctrl-C writes
    the waiting records before the journal closes; a SIGKILL of the
@@ -30,15 +32,14 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Sequence)
 
-from .aggregate import fold_records
+from .aggregate import BenchmarkRow, fold_records
 from .journal import CaseRecord, JournalWriter, read_journal
 from .pool import DEFAULT_MAX_ATTEMPTS, run_parallel
 from .spec import CaseSpec, enumerate_cases
 from .worker import execute_case
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..circuit.netlist import Circuit
-    from ..experiments.runner import BenchmarkRow, ExperimentConfig
+    from ..experiments.runner import ExperimentConfig
 
 __all__ = ["CampaignResult", "run_campaign"]
 
@@ -50,7 +51,7 @@ class CampaignResult:
     #: One record per enumerated case, in canonical enumeration order.
     records: List[CaseRecord] = field(default_factory=list)
     #: Folded table rows, keyed by benchmark, in campaign order.
-    rows: Dict[str, "BenchmarkRow"] = field(default_factory=dict)
+    rows: Dict[str, BenchmarkRow] = field(default_factory=dict)
     #: Cases skipped because a resumed journal already had them.
     resumed: int = 0
     #: Cases actually executed by this run.
@@ -76,7 +77,6 @@ def run_campaign(config: "ExperimentConfig",
                  journal: Optional[str] = None,
                  resume: Optional[str] = None,
                  progress: Optional[Callable[[str], None]] = None,
-                 spec_overrides: Optional[Dict[str, "Circuit"]] = None,
                  task: Optional[Callable] = None,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS)\
         -> CampaignResult:
@@ -94,10 +94,6 @@ def run_campaign(config: "ExperimentConfig",
         appended to the same file unless a distinct ``journal`` path is
         given, in which case the resumed records are copied over so the
         new journal is self-contained.
-    spec_overrides:
-        Pre-built circuits keyed by benchmark name, honoured only on
-        the inline path (pool workers rebuild from
-        ``BENCHMARK_FACTORIES`` by name).
     task:
         Test hook: replaces :func:`repro.jobs.worker.execute_case`.
     """
@@ -145,12 +141,7 @@ def run_campaign(config: "ExperimentConfig",
             else:
                 run_task = task if task is not None else execute_case
                 for case in pending:
-                    if task is None and spec_overrides:
-                        record = run_task(
-                            case, spec=spec_overrides.get(case.benchmark))
-                    else:
-                        record = run_task(case)
-                    emit(record)
+                    emit(run_task(case))
     finally:
         if writer is not None:
             try:

@@ -209,7 +209,7 @@ class WorkerPool:
         self._slots: List[_Slot] = []
         #: Monotone counters: workers that died mid-case (crash) and
         #: workers SIGKILLed at the hard deadline.  The service's slot
-        #: governor (:class:`repro.serve.slots.SlotFleet`) reads these
+        #: governor (:class:`repro.serve.slots.SlotPool`) reads these
         #: to throttle crash-looping slots with backoff.
         self.crashes = 0
         self.timeout_kills = 0

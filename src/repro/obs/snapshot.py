@@ -7,8 +7,9 @@ snapshots* — one at span enter, one at span exit — which is exact even
 when several phases share one manager.  This is the primitive that
 fixed the historic double-count: attributing a manager's cumulative
 totals to each phase over-reports as soon as two consecutive phases
-reuse the manager (see ``repro.experiments.runner._attach_cache_stats``
-and the regression test in ``tests/obs/test_ladder_tracing.py``).
+reuse the manager (see ``repro.core.ladder.close_rung``, which the
+ladder and campaign cases share, and the regression test in
+``tests/obs/test_ladder_tracing.py``).
 
 Duck-typed on purpose: ``capture`` accepts either a
 ``repro.bdd.Bdd`` wrapper or a raw ``BddManager`` — anything with

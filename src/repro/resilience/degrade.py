@@ -33,13 +33,13 @@ def strongest_completed(completed: List[CheckResult])\
     return strongest
 
 
-def describe_strongest(strongest: Optional[CheckResult]) -> str:
-    """Human-readable "strongest completed level" clause."""
-    if strongest is None:
+def describe_strongest(check: Optional[str], error_found: bool) -> str:
+    """Human-readable "strongest completed level" clause for the level
+    ``check`` (``None`` if none completed) and its verdict."""
+    if check is None:
         return "no level completed"
-    verdict = "error found" if strongest.error_found else "no error found"
-    return "strongest completed level: %s (%s)" % (strongest.check,
-                                                   verdict)
+    verdict = "error found" if error_found else "no error found"
+    return "strongest completed level: %s (%s)" % (check, verdict)
 
 
 def inconclusive_result(check: str, completed: List[CheckResult],
@@ -69,10 +69,12 @@ def inconclusive_result(check: str, completed: List[CheckResult],
         stats["%s_seconds" % result.check] = result.seconds
         stats["%s_peak_nodes" % result.check] = int(
             result.stats.get("peak_nodes", 0))
-    detail = "%s; %s" % (exc, describe_strongest(strongest))
+    found = strongest.error_found if strongest else False
+    detail = "%s; %s" % (exc, describe_strongest(
+        strongest.check if strongest else None, found))
     return CheckResult(
         check=check,
-        error_found=strongest.error_found if strongest else False,
+        error_found=found,
         exact=False,
         counterexample=strongest.counterexample if strongest else None,
         failing_output=strongest.failing_output if strongest else None,

@@ -13,7 +13,7 @@ store.  Module map:
   fair-share dispatch, ``Retry-After`` sizing.
 * :mod:`~repro.serve.executor` — job specs/records and the worker
   pool front (SIGKILL-able check execution).
-* :mod:`~repro.serve.slots` — :class:`~repro.serve.slots.SlotFleet`,
+* :mod:`~repro.serve.slots` — :class:`~repro.serve.slots.SlotPool`,
   single-slot worker pools behind an async idle queue, with crash
   backoff.
 * :mod:`~repro.serve.store` — append-only job journal; a restarted

@@ -10,7 +10,7 @@ service flavor: :class:`JobSpec` in, :class:`JobRecord` out, with
 :func:`execute_job` as the importable task spawned children resolve.
 
 :class:`JobExecutor` is the parent-side front: a service-flavored
-:class:`repro.serve.slots.SlotFleet` — one single-slot
+:class:`repro.serve.slots.SlotPool` — one single-slot
 :class:`~repro.jobs.pool.WorkerPool` per configured job slot, behind
 an async idle queue.  Each slot keeps its worker process alive across
 jobs (spawn cost is paid once at server start), jobs dispatch the
@@ -27,9 +27,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.result import (OUTCOME_ERROR, OUTCOME_INCONCLUSIVE,
                            OUTCOME_OK, OUTCOME_TIMEOUT)
-from .slots import SlotFleet
+from .slots import SlotPool
 from ..jobs.pool import WorkerPool
-from ..resilience.backoff import BackoffPolicy
 
 __all__ = ["JobSpec", "JobRecord", "ServeCodec", "execute_job",
            "JobExecutor"]
@@ -255,8 +254,8 @@ def execute_job(job: JobSpec) -> JobRecord:
     return record
 
 
-class JobExecutor(SlotFleet):
-    """The service's :class:`~repro.serve.slots.SlotFleet` flavor.
+class JobExecutor(SlotPool):
+    """The service's :class:`~repro.serve.slots.SlotPool` flavor.
 
     The scheduler acquires a slot, runs exactly one job on it (in a
     thread, because :meth:`WorkerPool.run` blocks), and releases it.
@@ -270,10 +269,6 @@ class JobExecutor(SlotFleet):
                  tracer=None):
         super().__init__(slots=slots, timeout=timeout,
                          task=execute_job, codec=ServeCodec,
-                         backoff=BackoffPolicy(base=0.05,
-                                               multiplier=2.0,
-                                               cap=5.0, jitter=0.25,
-                                               seed=11),
                          tracer=tracer)
 
     async def run(self, pool: WorkerPool, job: JobSpec) -> JobRecord:

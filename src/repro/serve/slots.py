@@ -1,4 +1,4 @@
-"""SlotFleet: K single-slot worker pools behind an async gate.
+"""SlotPool: K single-slot worker pools behind an async gate.
 
 The generic substrate under the service's :class:`JobExecutor`
 (:mod:`repro.serve.executor`): each slot is one single-slot
@@ -24,13 +24,13 @@ from typing import Callable, Dict, List, Optional
 from ..jobs.pool import CaseCodec, WorkerPool
 from ..resilience.backoff import BackoffPolicy
 
-__all__ = ["SlotFleet"]
+__all__ = ["SlotPool"]
 
 #: Streak cap so the backoff exponent cannot overflow into hours.
 _MAX_STREAK = 8
 
 
-class SlotFleet:
+class SlotPool:
     """Async front over K single-slot pools with crash backoff."""
 
     def __init__(self, slots: int, timeout: Optional[float] = None,

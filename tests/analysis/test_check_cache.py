@@ -8,6 +8,7 @@ from repro.analysis.static.cache import CACHE_VERSION, budget_class
 from repro.core.ladder import run_ladder
 from repro.core.result import OUTCOME_OK
 from repro.generators.paper_examples import ALL_FIGURES, figure1
+from repro.obs import Tracer, set_tracer
 
 
 class TestKeys:
@@ -137,3 +138,39 @@ class TestLadderRungZero:
             # every authoritative cold verdict is replayed warm
             assert len(hits) == sum(1 for r in cold
                                     if r.outcome == OUTCOME_OK)
+
+    def test_foreign_entry_is_a_miss_and_rewritten(self, tmp_path):
+        # A valid JSON object in another format (say, an entry written
+        # by an older cache version) must cost a re-run, never a crash.
+        spec, partial = figure1()
+        root = str(tmp_path)
+        cold = run_ladder(spec, partial, stop_at_first_error=False,
+                          cache=root)
+        entries = sorted(os.path.join(folder, name)
+                         for folder, _, names in os.walk(root)
+                         for name in names)
+        assert len(entries) == len(cold)
+        with open(entries[0], "w") as handle:
+            json.dump({"v": 1}, handle)
+        cache = CheckCache(root)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            warm = run_ladder(spec, partial, stop_at_first_error=False,
+                              cache=cache)
+        finally:
+            set_tracer(previous)
+        assert [(r.check, r.error_found, r.detail) for r in warm] \
+            == [(r.check, r.error_found, r.detail) for r in cold]
+        assert cache.stats() == {"hits": len(cold) - 1, "misses": 1,
+                                 "stores": 1}
+        lookups = [e["args"]["hit"] for e in tracer.events
+                   if e["name"] == "check_cache"]
+        assert sorted(lookups) == [False] + [True] * (len(cold) - 1)
+        assert sum(r.stats.get("check_cache") == "hit"
+                   for r in warm) == len(cold) - 1
+        # the re-run overwrote the foreign entry with a real verdict
+        again = CheckCache(root)
+        run_ladder(spec, partial, stop_at_first_error=False, cache=again)
+        assert again.stats() == {"hits": len(cold), "misses": 0,
+                                 "stores": 0}

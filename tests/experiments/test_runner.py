@@ -4,8 +4,8 @@ import pytest
 
 from repro.experiments import (CHECKS, BenchmarkRow, ExperimentConfig,
                                run_benchmark_row, run_one_case, run_table)
-from repro.generators import alu4_like, figure2b
-from repro.partial import make_partial
+from repro.generators import figure2b
+from repro.jobs.worker import clear_caches
 
 TINY = ExperimentConfig(selections=1, errors=3, patterns=100, seed=7,
                         benchmarks=["alu4"])
@@ -31,10 +31,9 @@ class TestRunOneCase:
 
 class TestRunBenchmarkRow:
     def test_row_shape_and_monotonicity(self):
-        spec = alu4_like()
         config = ExperimentConfig(selections=2, errors=4, patterns=200,
                                   seed=3)
-        row = run_benchmark_row("alu4", spec, config)
+        row = run_benchmark_row("alu4", config)
         assert row.cases == 8
         assert row.inputs == 14 and row.outputs == 8
         assert row.spec_nodes > 0
@@ -46,20 +45,18 @@ class TestRunBenchmarkRow:
             assert row.runtime[check] >= 0.0
 
     def test_deterministic_in_seed(self):
-        spec = alu4_like()
         config = ExperimentConfig(selections=1, errors=4, patterns=50,
                                   seed=11)
-        r1 = run_benchmark_row("alu4", spec, config)
-        r2 = run_benchmark_row("alu4", alu4_like(), config)
+        r1 = run_benchmark_row("alu4", config)
+        clear_caches()  # rebuild the spec and partials from scratch
+        r2 = run_benchmark_row("alu4", config)
         assert r1.detected == r2.detected
 
     def test_progress_callback(self):
-        spec = alu4_like()
         seen = []
         config = ExperimentConfig(selections=1, errors=2, patterns=10,
                                   seed=1)
-        run_benchmark_row("alu4", spec, config,
-                          progress=seen.append)
+        run_benchmark_row("alu4", config, progress=seen.append)
         assert len(seen) == 2
         assert "alu4" in seen[0]
 

@@ -1,13 +1,12 @@
 """Tests for the fraction-sweep experiment."""
 
 from repro.experiments import format_sweep, run_fraction_sweep
-from repro.generators import alu4_like
 
 
 class TestFractionSweep:
     def test_points_and_monotone_checks(self):
         points = run_fraction_sweep(
-            "alu4", alu4_like(), fractions=(0.1, 0.3), selections=1,
+            "alu4", fractions=(0.1, 0.3), selections=1,
             errors=3, patterns=100, seed=5)
         assert [p.fraction for p in points] == [0.1, 0.3]
         for point in points:
@@ -18,7 +17,7 @@ class TestFractionSweep:
 
     def test_formatting(self):
         points = run_fraction_sweep(
-            "alu4", alu4_like(), fractions=(0.15,), selections=1,
+            "alu4", fractions=(0.15,), selections=1,
             errors=2, patterns=50, seed=1)
         text = format_sweep("alu4", points)
         assert "alu4" in text

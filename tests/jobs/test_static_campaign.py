@@ -1,12 +1,21 @@
 """Campaign-level static analysis: cache determinism and journaling."""
 
 import json
+import os
+import random
 
+import pytest
+
+from repro.analysis.static import CheckCache
+from repro.core.ladder import run_ladder
 from repro.experiments.export import rows_to_csv, rows_to_json
 from repro.experiments.runner import ExperimentConfig, run_table
+from repro.jobs import worker
 from repro.jobs.journal import CaseRecord, CheckOutcome
 from repro.jobs.spec import CaseSpec, enumerate_cases
 from repro.jobs.worker import clear_caches, execute_case
+from repro.partial.blackbox import PartialImplementation
+from repro.partial.mutations import insert_random_error
 
 
 def _config(tmp_path, **overrides):
@@ -118,8 +127,11 @@ class TestJournalFields:
 
 
 class TestWorkerShortCircuit:
-    def test_cached_outcomes_marked_in_record(self, tmp_path):
-        config = _config(tmp_path)
+    @pytest.mark.parametrize("overrides", [
+        {}, {"strategy": "portfolio"}, {"node_limit": 200_000}],
+        ids=["default", "portfolio", "node_limit"])
+    def test_cached_outcomes_marked_in_record(self, tmp_path, overrides):
+        config = _config(tmp_path, **overrides)
         case = enumerate_cases(config)[0]
         clear_caches()
         cold = execute_case(case)
@@ -132,6 +144,29 @@ class TestWorkerShortCircuit:
         for name in cached:
             assert warm.checks[name].to_dict() == dict(
                 cold.checks[name].to_dict(), cached=True)
+        if "strategy" in overrides:
+            # the raced rungs' winners survive the replay
+            for name in ("0,1,X", "oe"):
+                assert warm.checks[name].cached
+                assert warm.checks[name].engine in ("sat", "bdd")
+
+    def test_foreign_entries_are_rerun(self, tmp_path):
+        config = _config(tmp_path)
+        case = enumerate_cases(config)[0]
+        clear_caches()
+        cold = execute_case(case)
+        root = config.check_cache
+        for folder, _, names in os.walk(root):
+            for name in names:
+                with open(os.path.join(folder, name), "w") as handle:
+                    json.dump({"v": 1}, handle)
+        clear_caches()
+        warm = execute_case(case)
+        assert not any(o.cached for o in warm.checks.values())
+        assert {n: dict(o.to_dict(), seconds=0)
+                for n, o in warm.checks.items()} \
+            == {n: dict(o.to_dict(), seconds=0)
+                for n, o in cold.checks.items()}
 
     def test_preflight_discharge_count_recorded(self, tmp_path):
         config = _config(tmp_path, preflight=True, check_cache=None)
@@ -142,3 +177,45 @@ class TestWorkerShortCircuit:
         plain_case = enumerate_cases(
             _config(tmp_path, check_cache=None))[0]
         assert execute_case(plain_case).discharged is None
+
+
+class TestOneCodecTwoSurfaces:
+    """Campaign cases and the ladder share the key rule and payload
+    codec, but their entries measure different managers (a fresh one
+    per check vs one shared by all rungs), so neither replays the
+    other's."""
+
+    @pytest.mark.parametrize("first", ["campaign", "ladder"])
+    def test_entries_stay_apart(self, tmp_path, first):
+        config = _config(tmp_path, errors=1)
+        root = config.check_cache
+        case = enumerate_cases(config)[0]
+        clear_caches()
+        tuned, _ = worker._tuned_spec(case.benchmark)
+        partial = worker._carved_partial(case, tuned)
+        mutated, _ = insert_random_error(
+            partial.circuit, random.Random(case.mutation_seed))
+        impl = PartialImplementation(mutated, partial.boxes)
+
+        def campaign():
+            clear_caches()
+            record = execute_case(case)
+            return [o.cached for o in record.checks.values()]
+
+        def ladder():
+            cache = CheckCache(root)
+            results = run_ladder(tuned, impl, patterns=case.patterns,
+                                 seed=case.case_seed,
+                                 stop_at_first_error=False, cache=cache)
+            assert all(r.outcome == "ok" for r in results)
+            return [r.stats.get("check_cache") == "hit"
+                    for r in results]
+
+        order = [campaign, ladder]
+        if first == "ladder":
+            order.reverse()
+        for surface in order:  # cold: the other side's entries miss
+            assert not any(surface())
+        for surface in order:  # warm: each side hits its own entries
+            hits = surface()
+            assert hits and all(hits)

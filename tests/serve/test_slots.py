@@ -1,4 +1,4 @@
-"""SlotFleet: the async slot substrate with crash governance."""
+"""SlotPool: the async slot substrate with crash governance."""
 
 import asyncio
 import time
@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.core.result import OUTCOME_ERROR, OUTCOME_OK
-from repro.serve.slots import SlotFleet
+from repro.serve.slots import SlotPool
 from repro.obs import Tracer
 from repro.resilience import BackoffPolicy
 
@@ -16,33 +16,33 @@ FAST_BACKOFF = BackoffPolicy(base=0.01, multiplier=2.0, cap=0.05,
                              jitter=0.25, seed=11)
 
 
-def _fleet(task, slots=2, tracer=None):
-    return SlotFleet(slots=slots, task=task, backoff=FAST_BACKOFF,
-                     tracer=tracer)
+def _slot_pool(task, slots=2, tracer=None):
+    return SlotPool(slots=slots, task=task, backoff=FAST_BACKOFF,
+                    tracer=tracer)
 
 
 class TestSlotFleet:
     def test_rejects_zero_slots(self):
         with pytest.raises(ValueError):
-            SlotFleet(slots=0)
+            SlotPool(slots=0)
 
     def test_runs_items_and_recycles_slots(self):
         async def scenario():
-            fleet = _fleet(stub_task)
-            await fleet.start()
+            slot_pool = _slot_pool(stub_task)
+            await slot_pool.start()
             try:
-                assert fleet.idle_slots == 2
+                assert slot_pool.idle_slots == 2
                 records = []
                 for case in make_cases(4):
-                    pool = await fleet.acquire()
+                    pool = await slot_pool.acquire()
                     try:
-                        records.append(await fleet.run(pool, case))
+                        records.append(await slot_pool.run(pool, case))
                     finally:
-                        fleet.release(pool)
-                assert fleet.idle_slots == 2
+                        slot_pool.release(pool)
+                assert slot_pool.idle_slots == 2
                 return records
             finally:
-                fleet.close()
+                slot_pool.close()
 
         records = asyncio.run(scenario())
         assert [r.outcome for r in records] == [OUTCOME_OK] * 4
@@ -53,24 +53,24 @@ class TestSlotFleet:
         tracer = Tracer()
 
         async def scenario():
-            fleet = _fleet(crash_task, tracer=tracer)
-            await fleet.start()
+            slot_pool = _slot_pool(crash_task, tracer=tracer)
+            await slot_pool.start()
             try:
                 crashing = make_cases(1)[0]  # error_index 0 crashes
-                pool = await fleet.acquire()
+                pool = await slot_pool.acquire()
                 start = time.monotonic()
-                record = await fleet.run(pool, crashing)
+                record = await slot_pool.run(pool, crashing)
                 elapsed = time.monotonic() - start
-                throttled = fleet.stats()["throttled"]
-                fleet.release(pool)
+                throttled = slot_pool.stats()["throttled"]
+                slot_pool.release(pool)
 
                 healthy = make_cases(2)[1]
-                pool = await fleet.acquire()
-                clean = await fleet.run(pool, healthy)
-                fleet.release(pool)
-                return record, elapsed, throttled, clean, fleet.stats()
+                pool = await slot_pool.acquire()
+                clean = await slot_pool.run(pool, healthy)
+                slot_pool.release(pool)
+                return record, elapsed, throttled, clean, slot_pool.stats()
             finally:
-                fleet.close()
+                slot_pool.close()
 
         record, elapsed, throttled, clean, stats = asyncio.run(scenario())
         # The pool retried the deterministic crasher to a terminal
@@ -86,12 +86,12 @@ class TestSlotFleet:
 
     def test_stats_shape(self):
         async def scenario():
-            fleet = _fleet(stub_task, slots=3)
-            await fleet.start()
+            slot_pool = _slot_pool(stub_task, slots=3)
+            await slot_pool.start()
             try:
-                return fleet.stats()
+                return slot_pool.stats()
             finally:
-                fleet.close()
+                slot_pool.close()
 
         stats = asyncio.run(scenario())
         assert stats == {"slots": 3, "idle": 3, "crashes": 0,

@@ -88,6 +88,8 @@ RULES = {
         or (_within(src, "repro.bdd") and _within(dst, "repro.sat")),
     "resilience-below-jobs": lambda src, dst:
         _within(src, "repro.resilience") and _within(dst, "repro.jobs"),
+    "jobs-below-experiments": lambda src, dst:
+        _within(src, "repro.jobs") and _within(dst, "repro.experiments"),
 }
 
 
