@@ -7,7 +7,8 @@ never frees user-visible results.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
+                    Union)
 
 from .cache import CacheConfig
 from .manager import FALSE, TRUE, BddManager
@@ -198,6 +199,10 @@ class Function:
     def size(self) -> int:
         """Node count of this BDD, terminals included."""
         return self.bdd.manager.size(self.node)
+
+    def profile(self) -> Tuple[int, List[str]]:
+        """``(self.size(), self.support())`` from one DAG walk."""
+        return self.bdd.manager.profile(self.node)
 
     def __repr__(self) -> str:
         if self.node == TRUE:

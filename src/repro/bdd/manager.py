@@ -625,13 +625,21 @@ class BddManager:
         """True for the two constant nodes."""
         return u <= TRUE
 
-    def size(self, roots: Union[int, Iterable[int]]) -> int:
-        """Number of distinct nodes reachable from ``roots``, terminals
-        included (matching how CUDD's ``Cudd_DagSize`` counts)."""
+    def profile(self, roots: Union[int, Iterable[int]])\
+            -> Tuple[int, List[str]]:
+        """Node count and support of the DAG below ``roots``, in one walk.
+
+        The count includes terminals (as :meth:`size`); the support lists
+        variable names in level order (as :meth:`support`).  Bucket
+        elimination needs both for every conjunct it schedules.
+        """
         if isinstance(roots, int):
             roots = (roots,)
+        var_a = self._var
         low_a = self._low
         high_a = self._high
+        vars_seen = set()
+        vars_add = vars_seen.add
         seen = set()
         seen_add = seen.add
         stack = list(roots)
@@ -643,9 +651,17 @@ class BddManager:
                 continue
             seen_add(u)
             if u > TRUE:
+                vars_add(var_a[u])
                 push(low_a[u])
                 push(high_a[u])
-        return len(seen)
+        v2l = self._var2level
+        return len(seen), [self._var_names[v]
+                           for v in sorted(vars_seen, key=v2l.__getitem__)]
+
+    def size(self, roots: Union[int, Iterable[int]]) -> int:
+        """Number of distinct nodes reachable from ``roots``, terminals
+        included (matching how CUDD's ``Cudd_DagSize`` counts)."""
+        return self.profile(roots)[0]
 
     # ------------------------------------------------------------------
     # Boolean operations
@@ -1262,10 +1278,10 @@ class BddManager:
         """Relational product ``∃ variables . f ∧ g`` in one pass.
 
         Avoids building the full conjunction when most of it is
-        quantified away.  Image computation in
-        :mod:`repro.seq.reachability` calls it; the output- and
-        input-exact checks conjoin first and then call :meth:`exists`
-        (:func:`repro.core.quantify.exists_conj`).
+        quantified away (CUDD's ``Cudd_bddAndAbstract``).  Image
+        computation in :mod:`repro.seq.reachability` calls it, and so
+        does every bucket of two or more conjuncts in the exact checks'
+        bucket elimination (:func:`repro.core.quantify.exists_conj`).
         """
         self._maybe_maintain()
         vars_key = self._levels_key(variables)
@@ -1485,27 +1501,7 @@ class BddManager:
 
     def support(self, f: int) -> List[str]:
         """Names of the variables ``f`` depends on, in order."""
-        var_a = self._var
-        low_a = self._low
-        high_a = self._high
-        vars_seen = set()
-        vars_add = vars_seen.add
-        seen = set()
-        seen_add = seen.add
-        stack = [f]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            u = pop()
-            if u <= TRUE or u in seen:
-                continue
-            seen_add(u)
-            vars_add(var_a[u])
-            push(low_a[u])
-            push(high_a[u])
-        v2l = self._var2level
-        return [self._var_names[v]
-                for v in sorted(vars_seen, key=v2l.__getitem__)]
+        return self.profile(f)[1]
 
     # ------------------------------------------------------------------
     # Debug helpers

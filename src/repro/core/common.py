@@ -8,7 +8,7 @@ primary inputs and one fresh ``Z`` variable per Black Box output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..bdd import Bdd, Function, default_bdd
@@ -44,6 +44,8 @@ class SymbolicContext:
     spec_outputs: List[Function]
     impl_outputs: List[Function]
     z_vars: Dict[str, str]
+    _conditions: Optional[List[Function]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def input_names(self) -> List[str]:
@@ -56,9 +58,15 @@ class SymbolicContext:
         return [self.z_vars[net] for net in self.partial.box_outputs]
 
     def conditions(self) -> List[Function]:
-        """The per-output legality conditions ``cond_j = g_j ↔ f_j``."""
-        return [g.equiv(f) for g, f in
-                zip(self.impl_outputs, self.spec_outputs)]
+        """The per-output legality conditions ``cond_j = g_j ↔ f_j``.
+
+        Built on first use and kept: the context is never mutated, and
+        the exact checks on one manager share the same conditions.
+        """
+        if self._conditions is None:
+            self._conditions = [g.equiv(f) for g, f in
+                                zip(self.impl_outputs, self.spec_outputs)]
+        return self._conditions
 
 
 def prepare_context(spec: Circuit, partial: PartialImplementation,

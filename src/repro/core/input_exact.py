@@ -37,7 +37,7 @@ from ..sim.symbolic import symbolic_simulate
 from .common import (SymbolicContext, box_input_var_name, prepare_context,
                      z_var_name)
 from .output_exact import feasible_inputs
-from .quantify import exists_conj
+from .quantify import exists_conj, profile
 from .result import CheckResult, Stopwatch
 
 __all__ = ["check_input_exact", "input_exact_from_context",
@@ -72,7 +72,8 @@ def build_cond_prime(ctx: SymbolicContext)\
         cond' = ⋀_j ∀x (¬H ∨ cond_j) = ⋀_j ¬ ∃x (H ∧ ¬cond_j),
 
     where each ``∃x`` is a scheduled relational product over the factored
-    ``H`` (one ``i ↔ h`` equivalence per box input pin).
+    ``H`` (one ``i ↔ h`` equivalence per box input pin).  The factors of
+    ``H`` are profiled once and shared by every output's product.
     """
     bdd = ctx.bdd
     h_fns = _box_input_functions(ctx)
@@ -90,6 +91,7 @@ def build_cond_prime(ctx: SymbolicContext)\
         groups.append((i_names, o_names))
 
     x_names = ctx.input_names
+    h_profiles = profile(h_parts)
     cond_prime = bdd.true
     for cond_j in ctx.conditions():
         if cond_j.is_true:
@@ -98,7 +100,7 @@ def build_cond_prime(ctx: SymbolicContext)\
             # many-output circuits cheap: only outputs actually touched
             # by a box or an error pay for a relational product.
             continue
-        term = ~exists_conj(bdd, h_parts + [~cond_j], x_names)
+        term = ~exists_conj(bdd, [~cond_j], x_names, profiled=h_profiles)
         cond_prime = cond_prime & term
         if cond_prime.is_false:
             break

@@ -15,11 +15,13 @@ over deterministic step budgets*: each engine in turn gets a
 (SAT charges one step per propagated literal, the BDD manager one per
 ``mk``/``ite`` recursion); an engine that exhausts its slice is parked
 and the quantum grows geometrically for the next round.  The winner is
-a pure function of the case, not of the hardware, and both engines'
-partial work persists between rounds (learned clauses in the solver's
-database, memoized subresults in the manager's computed table), so the
-race costs at most a small constant factor over the winning engine
-alone.
+a pure function of the case, not of the hardware.  Only the BDD engine
+keeps partial work between rounds: the manager's computed table and,
+for the output exact rung, the symbolic context built inside its slice.
+Every SAT attempt re-encodes its CNF and builds new solvers, so a
+parked SAT attempt's learned clauses are lost.  The geometric quanta
+bound the steps the race burns to a constant factor of the winning
+slice, but not its time: CNF construction is not charged in steps.
 
 The winning engine lands in ``CheckResult.stats["engine"]`` and is
 journaled by the campaign worker (:class:`repro.jobs.CheckOutcome`).

@@ -262,6 +262,14 @@ class TestStructure:
         pair = bdd.manager.size([f.node, f.node])
         assert pair == f.size()
 
+    def test_profile_is_size_and_support_from_one_walk(self, bdd):
+        f = bdd.var("a") ^ bdd.var("c")
+        # The a node, c and ¬c below it, and both terminals.
+        assert f.profile() == (5, ["a", "c"])
+        assert bdd.true.profile() == (1, [])
+        roots = [f.node, bdd.var("b").node]
+        assert bdd.manager.profile(roots) == (6, ["a", "b", "c"])
+
     def test_incref_guard(self):
         mgr = BddManager()
         with pytest.raises(RuntimeError):
