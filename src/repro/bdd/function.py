@@ -220,9 +220,9 @@ class Bdd:
     :class:`BddManager` stays an implementation detail.
     """
 
-    #: Manager implementation to instantiate; subclasses (e.g. the
-    #: recursive reference manager in :mod:`repro.bdd._legacy`) override
-    #: this to swap kernels without touching the Function layer.
+    #: Manager implementation to instantiate; a subclass (the recursive
+    #: test oracle in ``tests/bdd/legacy.py``) overrides this to swap
+    #: kernels without touching the Function layer.
     _manager_class = BddManager
 
     def __init__(self, auto_reorder: bool = False,

@@ -13,8 +13,8 @@ Design notes
 * All Boolean kernels are *iterative*: they run an explicit-stack loop
   instead of Python recursion, so arbitrarily deep BDDs never trip the
   interpreter recursion limit and the hot loops can bind their state to
-  locals.  The recursive reference implementations live in
-  :mod:`repro.bdd._legacy` for differential testing and benchmarking.
+  locals.  The recursive reference implementations are a test oracle
+  (``tests/bdd/legacy.py``), held to the same node ids.
 * The computed table is *segmented*: one bounded dict per operation
   (see :mod:`repro.bdd.cache`).  Full segments evict their oldest entry
   on insert — a lossy cache in the spirit of CUDD's — and entries whose
@@ -62,8 +62,8 @@ _TERMINAL_LEVEL = 1 << 60
 
 # Opcodes.  The segmented computed table no longer tags its keys with
 # these (each op owns a segment), but the apply and context loops still
-# dispatch on them and :mod:`repro.bdd._legacy` keys its historic single
-# table with them.
+# dispatch on them and the recursive test oracle (``tests/bdd/legacy.py``)
+# keys its historic single table with them.
 _OP_AND = 0
 _OP_OR = 1
 _OP_XOR = 2

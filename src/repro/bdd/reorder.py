@@ -43,7 +43,7 @@ def swap_adjacent_levels(mgr: BddManager, level: int) -> int:
     :class:`~repro.resilience.budget.BudgetExceededError` can never
     surface from a half-rebuilt level.  Without a budget the countdown
     is parked instead: the fault injector arms it on its own, and the
-    legacy swap creates nodes through ``mk``, which polls it.
+    test oracle's swap creates nodes through ``mk``, which polls it.
     """
     if not 0 <= level < mgr.num_vars - 1:
         raise ValueError("level %d out of range" % level)
@@ -53,9 +53,9 @@ def swap_adjacent_levels(mgr: BddManager, level: int) -> int:
         mgr.set_budget(None)
     else:
         countdown, mgr._budget_countdown = mgr._budget_countdown, None
-    # Manager subclasses may pin their own swap implementation (the
-    # legacy reference manager keeps the historic one so before/after
-    # benchmarks measure the true pre-rewrite code path).
+    # A manager subclass may pin its own swap implementation: the
+    # recursive test oracle (tests/bdd/legacy.py) keeps the historic one,
+    # so the differential tests also check the rewritten swap.
     impl = getattr(type(mgr), "_swap_unchecked_impl", _swap_unchecked)
     try:
         return impl(mgr, level)
@@ -283,9 +283,9 @@ def sift(mgr: BddManager, max_growth: float = 1.2,
     full-span walk).
 
     A manager subclass may pin the historic per-variable walk via a
-    ``_sift_one_impl`` class attribute (the legacy reference manager
-    does, so before/after benchmarks measure the true pre-rewrite
-    reordering cost).
+    ``_sift_one_impl`` class attribute: the recursive test oracle
+    (``tests/bdd/legacy.py``) does, so its differential tests reorder
+    with the pre-rewrite walk.
     """
     order = sorted(range(mgr.num_vars),
                    key=lambda w: -len(mgr._var_nodes[w]))

@@ -219,8 +219,7 @@ def run_ladder(spec: Circuit, partial: PartialImplementation,
 def run_rung(name: str, spec: Circuit, partial: PartialImplementation,
              bdd, context: list, patterns: int, seed: Optional[int],
              budget: "Optional[Budget]" = None,
-             strategy: Optional[str] = None,
-             rp_engine: str = "packed") -> CheckResult:
+             strategy: Optional[str] = None) -> CheckResult:
     """Run rung ``name`` on one pair: the one rung dispatch.
 
     The random-pattern rung never touches ``bdd`` (campaigns pass
@@ -230,8 +229,7 @@ def run_rung(name: str, spec: Circuit, partial: PartialImplementation,
     """
     if name == "random_pattern":
         return check_random_patterns(spec, partial, patterns=patterns,
-                                     seed=seed, budget=budget,
-                                     engine=rp_engine)
+                                     seed=seed, budget=budget)
     if name == "symbolic_01x":
         if strategy is not None:
             return race_symbolic_01x(spec, partial, bdd, budget=budget,

@@ -27,9 +27,8 @@ __all__ = ["check_random_patterns", "ternary_distinguishes"]
 #: Pattern budget used in the paper's experiments.
 DEFAULT_PATTERNS = 5000
 
-#: Patterns per packed batch.  256 keeps the bigint masks one cache
-#: line wide-ish and matches the scalar engine's budget-checkpoint
-#: cadence, so both engines observe deadlines at the same points.
+#: Patterns per packed batch; the budget is checkpointed once per
+#: batch.  256 keeps the bigint masks one cache line wide-ish.
 _CHUNK = 256
 
 
@@ -52,32 +51,16 @@ def ternary_distinguishes(spec: Circuit, partial: PartialImplementation,
     return None
 
 
-def _scalar_sweep(spec: Circuit, partial: PartialImplementation,
-                  patterns: int, seed: Optional[int],
-                  budget: "Optional[Budget]")\
-        -> Tuple[Optional[str], Optional[Dict[str, bool]], int]:
-    """Reference engine: one full netlist interpretation per pattern."""
-    tried = 0
-    for assignment in random_patterns(spec.inputs, patterns, seed=seed):
-        if budget is not None and tried % _CHUNK == 0:
-            budget.checkpoint("random_pattern")
-        tried += 1
-        failing = ternary_distinguishes(spec, partial, assignment)
-        if failing is not None:
-            return failing, assignment, tried
-    return None, None, tried
-
-
 def _packed_sweep(spec: Circuit, partial: PartialImplementation,
                   patterns: int, seed: Optional[int],
                   budget: "Optional[Budget]")\
         -> Tuple[Optional[str], Optional[Dict[str, bool]], int]:
-    """Bit-parallel engine: whole pattern batches per netlist sweep.
+    """Bit-parallel sweep: whole pattern batches per netlist sweep.
 
-    Consumes the very same pattern stream as :func:`_scalar_sweep` and
-    reports the same first failing pattern, the same failing output
-    (first in declaration order for that pattern) and the same tried
-    count — only the wall clock differs.
+    Reports what simulating the stream of :func:`random_patterns` one
+    pattern at a time with :func:`ternary_distinguishes` would: the
+    first failing pattern, its first failing output in declaration
+    order, and the number of patterns tried up to and including it.
     """
     source = random_patterns(spec.inputs, patterns, seed=seed)
     output_pairs = list(zip(spec.outputs, partial.circuit.outputs))
@@ -114,8 +97,8 @@ def _packed_sweep(spec: Circuit, partial: PartialImplementation,
 def check_random_patterns(spec: Circuit, partial: PartialImplementation,
                           patterns: int = DEFAULT_PATTERNS,
                           seed: Optional[int] = None,
-                          budget: "Optional[Budget]" = None,
-                          engine: str = "packed") -> CheckResult:
+                          budget: "Optional[Budget]" = None)\
+        -> CheckResult:
     """Random-pattern 0,1,X check (approximate, cheapest).
 
     Never reports a false error; misses any error that needs either a
@@ -123,25 +106,13 @@ def check_random_patterns(spec: Circuit, partial: PartialImplementation,
     optional ``budget`` is checkpointed every few hundred patterns so a
     wall-clock deadline can interrupt very large pattern counts.
 
-    ``engine`` selects the simulation backend: ``"packed"`` (default)
-    sweeps the netlist once per 256-pattern batch with bit-parallel
-    mask arithmetic; ``"scalar"`` is the historic one-pattern-at-a-time
-    interpreter, kept as the differential reference and as the
-    before/after baseline in ``benchmarks/run_bench.py``.  Both consume
-    the identical pattern stream and return identical verdicts,
-    counterexamples and tried counts.
+    The netlist is swept once per 256-pattern batch with bit-parallel
+    mask arithmetic (:mod:`repro.sim.bitparallel`).
     """
     partial.validate_against(spec)
-    if engine == "packed":
-        sweep = _packed_sweep
-    elif engine == "scalar":
-        sweep = _scalar_sweep
-    else:
-        raise ValueError("unknown engine %r (choose 'packed' or "
-                         "'scalar')" % engine)
     with Stopwatch() as clock:
-        failing, cex, tried = sweep(spec, partial, patterns, seed,
-                                    budget)
+        failing, cex, tried = _packed_sweep(spec, partial, patterns, seed,
+                                            budget)
     return CheckResult(
         check="random_pattern",
         error_found=failing is not None,
@@ -150,5 +121,5 @@ def check_random_patterns(spec: Circuit, partial: PartialImplementation,
         failing_output=failing,
         detail="%d of %d patterns simulated" % (tried, patterns),
         seconds=clock.seconds,
-        stats={"patterns": tried, "engine": engine},
+        stats={"patterns": tried},
     )

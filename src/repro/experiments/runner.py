@@ -90,19 +90,13 @@ class ExperimentConfig:
 def run_one_case(spec: Circuit, partial: PartialImplementation,
                  checks: Sequence[str], patterns: int,
                  seed: int, budget=None,
-                 bdd_factory=None,
-                 rp_engine: str = "packed",
                  strategy: Optional[str] = None)\
         -> Dict[str, CheckResult]:
     """All requested checks on one (spec, partial) pair.
 
     Each symbolic check runs on a fresh BDD manager so that the node and
     peak statistics are attributable to that check alone (matching how
-    the paper reports per-check peaks).  ``bdd_factory`` supplies those
-    managers (default :func:`~repro.bdd.function.default_bdd`); the
-    before/after benchmark passes the legacy reference factory here,
-    together with ``rp_engine="scalar"`` so its "before" side also runs
-    the historic one-pattern-at-a-time random-pattern engine.
+    the paper reports per-check peaks).
 
     A ``budget`` (:class:`repro.resilience.budget.Budget`) is attached
     to every fresh manager; an overrunning check raises
@@ -117,8 +111,6 @@ def run_one_case(spec: Circuit, partial: PartialImplementation,
     result's ``stats["engine"]``.
     """
     strategy = normalize_strategy(strategy)
-    if bdd_factory is None:
-        bdd_factory = default_bdd
     tracer = get_tracer()
     results: Dict[str, CheckResult] = {}
     for short in checks:
@@ -132,7 +124,7 @@ def run_one_case(spec: Circuit, partial: PartialImplementation,
         try:
             bdd = before = None
             if name != "random_pattern":
-                bdd = bdd_factory()
+                bdd = default_bdd()
                 if budget is not None:
                     budget.start()
                     bdd.set_budget(budget)
@@ -140,8 +132,7 @@ def run_one_case(spec: Circuit, partial: PartialImplementation,
                     bdd.set_tracer(tracer)
                 before = ManagerSnapshot.capture(bdd)
             result = run_rung(name, spec, partial, bdd, [None], patterns,
-                              seed, budget=budget, strategy=strategy,
-                              rp_engine=rp_engine)
+                              seed, budget=budget, strategy=strategy)
             close_rung(result, before, bdd, span)
             results[short] = result
         finally:

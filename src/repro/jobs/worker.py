@@ -123,8 +123,7 @@ def _outcome(result: CheckResult, strategy: Optional[str],
         gc_runs=int(stats.get("gc_runs", 0)),
         detail=result.detail,
         cached=cached,
-        # Only the rungs a strategy races journal their winning engine;
-        # the random-pattern rung's stats["engine"] is its simulator.
+        # Only the rungs a strategy races journal their winning engine.
         engine=str(stats.get("engine", "")) if strategy and result.check
         in ("symbolic_01x", "output_exact") else "")
 

@@ -8,7 +8,7 @@ at every step: node identity comes from the unique table alone, so any
 divergence means an eviction leaked into semantics.
 
 The same programs also hold the manager to the recursive reference in
-:mod:`repro.bdd._legacy`, with and without garbage collection and
+:mod:`tests.bdd.legacy`, with and without garbage collection and
 sifting interleaved: the node-id oracle for any rewrite of the kernels.
 """
 
@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import Bdd, CacheConfig
-from repro.bdd._legacy import LegacyBdd, LegacyBddManager
 from repro.bdd.cache import OP_NAMES
+from tests.bdd.legacy import LegacyBdd, LegacyBddManager
 
 NAMES = ["a", "b", "c", "d", "e"]
 

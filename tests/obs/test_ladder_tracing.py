@@ -106,11 +106,11 @@ class TestDeltaAccounting:
         """
         spec, partial = case
         bdd = Bdd()
-        first = run_one_case(spec, partial, ("ie",), patterns=10,
-                             seed=1, bdd_factory=lambda: bdd)["ie"]
+        first, = run_ladder(spec, partial, checks=("input_exact",),
+                            patterns=10, seed=1, bdd=bdd)
         mid = ManagerSnapshot.capture(bdd)
-        second = run_one_case(spec, partial, ("ie",), patterns=10,
-                              seed=1, bdd_factory=lambda: bdd)["ie"]
+        second, = run_ladder(spec, partial, checks=("input_exact",),
+                             patterns=10, seed=1, bdd=bdd)
         after = ManagerSnapshot.capture(bdd)
         assert first.stats["cache_hits"] == mid.hits
         assert second.stats["cache_hits"] == after.hits - mid.hits

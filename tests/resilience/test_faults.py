@@ -119,7 +119,7 @@ class TestMkMemoryError:
     def test_never_fires_inside_a_legacy_swap(self):
         # The reference manager's swap creates nodes through ``mk``; an
         # armed countdown must wait until the level is whole again.
-        from repro.bdd._legacy import LegacyBdd
+        from tests.bdd.legacy import LegacyBdd
 
         bdd = LegacyBdd()
         xs = bdd.add_vars(["v%d" % i for i in range(8)])

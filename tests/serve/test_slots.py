@@ -21,7 +21,7 @@ def _slot_pool(task, slots=2, tracer=None):
                     tracer=tracer)
 
 
-class TestSlotFleet:
+class TestSlotPool:
     def test_rejects_zero_slots(self):
         with pytest.raises(ValueError):
             SlotPool(slots=0)

@@ -3,7 +3,7 @@
 The packed engine must be a pure accelerator: same values on every
 net for every pattern, and — through ``check_random_patterns`` — the
 same verdict, counterexample, failing output and tried count as the
-historic scalar sweep.
+one-pattern-at-a-time scalar sweep below.
 """
 
 import random
@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit, CircuitError
-from repro.core.random_pattern import check_random_patterns
+from repro.core.random_pattern import (check_random_patterns,
+                                       ternary_distinguishes)
 from repro.generators.benchmarks import BENCHMARK_FACTORIES
 from repro.partial.blackbox import PartialImplementation
 from repro.partial.extraction import make_partial
@@ -21,6 +22,7 @@ from repro.partial.mutations import insert_random_error
 from repro.sim.bitparallel import (pack_patterns, simulate_packed,
                                    unpack_value)
 from repro.sim.logic3 import ONE, X, ZERO
+from repro.sim.patterns import random_patterns
 from repro.sim.ternary import simulate_ternary
 
 _GATES = [GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
@@ -97,32 +99,40 @@ def test_unpack_value_decodes_all_three():
     assert unpack_value((0b01, 0b10), 2) == X
 
 
+def _scalar_sweep(spec, partial, patterns, seed):
+    """The reference r.p. check: one ternary simulation per pattern.
+
+    Returns ``(failing output, counterexample, tried)`` over the same
+    pattern stream ``check_random_patterns`` consumes.
+    """
+    tried = 0
+    for assignment in random_patterns(spec.inputs, patterns, seed=seed):
+        tried += 1
+        failing = ternary_distinguishes(spec, partial, assignment)
+        if failing is not None:
+            return failing, assignment, tried
+    return None, None, tried
+
+
 @pytest.mark.parametrize("circuit_name", ["alu4", "comp"])
 @pytest.mark.parametrize("case_seed", [0, 1, 2])
 def test_check_engines_agree_end_to_end(circuit_name, case_seed):
-    """Both engines of the r.p. check return identical CheckResults."""
+    """The r.p. check reports what the scalar sweep finds, on a mutated
+    and on an error-free partial implementation."""
     spec = BENCHMARK_FACTORIES[circuit_name]()
     partial = make_partial(spec, fraction=0.2, num_boxes=2,
                            seed=case_seed)
     mutated, _ = insert_random_error(partial.circuit,
                                      random.Random(case_seed + 3))
-    impl = PartialImplementation(mutated, partial.boxes)
-    scalar = check_random_patterns(spec, impl, patterns=400,
-                                   seed=case_seed, engine="scalar")
-    packed = check_random_patterns(spec, impl, patterns=400,
-                                   seed=case_seed, engine="packed")
-    assert scalar.error_found == packed.error_found
-    assert scalar.counterexample == packed.counterexample
-    assert scalar.failing_output == packed.failing_output
-    assert scalar.stats["patterns"] == packed.stats["patterns"]
-    assert scalar.detail == packed.detail
-
-
-def test_unknown_engine_rejected():
-    spec = BENCHMARK_FACTORIES["comp"]()
-    partial = make_partial(spec, fraction=0.2, num_boxes=1, seed=0)
-    with pytest.raises(ValueError):
-        check_random_patterns(spec, partial, patterns=10, engine="simd")
+    for impl in (PartialImplementation(mutated, partial.boxes), partial):
+        failing, cex, tried = _scalar_sweep(spec, impl, 400, case_seed)
+        packed = check_random_patterns(spec, impl, patterns=400,
+                                       seed=case_seed)
+        assert packed.error_found == (failing is not None)
+        assert packed.counterexample == cex
+        assert packed.failing_output == failing
+        assert packed.stats["patterns"] == tried
+        assert packed.detail == "%d of 400 patterns simulated" % tried
 
 
 #: One below, at and above one and two 64-bit words, plus odd sizes.
