@@ -96,14 +96,17 @@ _SEGMENT_SPECS = (
 )
 
 #: Rule rows of the binary apply loop: opcode -> (segment attr, stats
-#: attr, identity constant, xor flag).  With the pair normalized to
-#: ``f < g``, ``f == g`` yields ``f`` (FALSE for XOR), and a constant
-#: ``f`` yields ``g`` when it is the identity, else ``f`` itself
-#: (absorbing, AND/OR) or ``not g`` (XOR).
+#: attr, identity constant, xor flag, quantify flag).  With the pair
+#: normalized to ``f < g``, ``f == g`` yields ``f`` (FALSE for XOR), and
+#: a constant ``f`` yields ``g`` when it is the identity, else ``f``
+#: itself (absorbing, AND/OR) or ``not g`` (XOR).  AND_EXISTS is AND
+#: under a quantified variable set: its terminal-rule results are
+#: quantified, and its quantified levels OR their cofactors.
 _APPLY_RULES = {
-    _OP_AND: ("_c_and", "_cs_and", TRUE, False),
-    _OP_OR: ("_c_or", "_cs_or", FALSE, False),
-    _OP_XOR: ("_c_xor", "_cs_xor", FALSE, True),
+    _OP_AND: ("_c_and", "_cs_and", TRUE, False, False),
+    _OP_OR: ("_c_or", "_cs_or", FALSE, False, False),
+    _OP_XOR: ("_c_xor", "_cs_xor", FALSE, True, False),
+    _OP_AND_EXISTS: ("_c_andex", "_cs_andex", TRUE, False, True),
 }
 
 #: Rule rows of the context loop: opcode -> (segment attr, stats attr,
@@ -205,15 +208,6 @@ class BddManager:
 
         self.auto_reorder = auto_reorder
         self.reorder_threshold = initial_reorder_threshold
-        #: 0 = sift every variable; N > 0 = only the N most populous
-        #: (CUDD's siftMaxVar); trades order quality for reorder speed.
-        self.sift_max_vars = 0
-        #: Per-variable sift walk span cut: abort a direction after
-        #: this many consecutive non-improving swaps (0 = historic
-        #: full-span walk).  12 cuts reorder work 1.5-2.5x on the
-        #: paper's circuits for a few percent of order quality; see
-        #: docs/performance.md for the measurements.
-        self.sift_stall = 12
         self._reorder_lock = 0
 
         self._live_nodes = 2
@@ -592,7 +586,7 @@ class BddManager:
 
             self.collect_garbage()
             if self._live_nodes >= self.reorder_threshold:
-                sift(self, max_vars=self.sift_max_vars)
+                sift(self)
                 self.n_reorderings += 1
                 self.reorder_threshold = max(self.reorder_threshold,
                                              2 * self._live_nodes)
@@ -704,16 +698,15 @@ class BddManager:
 
     # Every kernel is a resolve-first explicit-stack loop: it resolves
     # each task by a terminal rule or a cache hit, else pushes one frame
-    # and descends into the low cofactor.  ``_apply_slow`` serves AND,
-    # OR and XOR (behind the fast paths below) and ``_negate_slow`` NOT;
-    # these two inline ``mk``'s creation path, because going through
-    # ``mk`` costs measurable check time.  ``_context_loop`` serves
-    # exists, forall, restrict and compose, whose tasks are one node
-    # under an interned context.  ``_ite_slow`` and ``_and_exists`` keep
-    # their own loops: their tasks carry three and two operands, which
-    # would cost the quantify loop per-task branches.  Stats are
-    # accumulated in locals and flushed in ``finally`` (a budget trip
-    # may abort a loop mid-flight).
+    # and descends into the low cofactor.  ``_apply_slow`` serves the
+    # pair tasks of AND, OR, XOR and AND_EXISTS (behind the fast paths
+    # below and ``_and_exists``) and ``_negate_slow`` NOT; these two
+    # inline ``mk``'s creation path, because going through ``mk`` costs
+    # measurable check time.  ``_context_loop`` serves exists, forall,
+    # restrict and compose, whose tasks are one node under an interned
+    # context.  ``_ite_slow`` keeps its own loop: its tasks carry three
+    # operands.  Stats are accumulated in locals and flushed in
+    # ``finally`` (a budget trip may abort a loop mid-flight).
 
     def _and(self, f: int, g: int) -> int:
         if f == FALSE or g == FALSE:
@@ -764,17 +757,24 @@ class BddManager:
             return res
         return self._apply_slow(_OP_XOR, f, g)
 
-    def _apply_slow(self, op: int, f: int, g: int) -> int:
+    def _apply_slow(self, op: int, f: int, g: int, cid: int = 0,
+                    var_set: frozenset = frozenset()) -> int:
         # (f, g) is normalized and just missed op's segment.  A frame is
         # [key, var, f1, g1, r0, parent]: r0 is -1 while the low pair is
         # in flight, then the low result.  Frames link to their parent
         # rather than sit on a list, which saves the append/pop calls
-        # every miss would pay (see docs/performance.md).
-        cattr, sattr, unit, is_xor = _APPLY_RULES[op]
+        # every miss would pay (see docs/performance.md).  AND_EXISTS
+        # (``quant``) keys its pairs with the interned ``cid`` of
+        # ``var_set``, polls the budget per miss, and marks a frame of a
+        # quantified level with var -1: its cofactors are ORed, and a
+        # TRUE low result settles it without the high pair.
+        cattr, sattr, unit, is_xor, quant = _APPLY_RULES[op]
         cache = getattr(self, cattr)
         cache_get = cache.get
         limit = self._cache_limit
         _not = self._not
+        _or = self._or
+        quantify = self._quantify
         var_a = self._var
         low_a = self._low
         high_a = self._high
@@ -788,7 +788,7 @@ class BddManager:
         hits = 0
         miss = 0
         evt = 0
-        key = (f, g)
+        key = (f, g, cid) if quant else (f, g)
         top = None
         try:
             while True:
@@ -810,6 +810,15 @@ class BddManager:
                     g1 = high_a[g]
                 else:
                     g0 = g1 = g
+                if quant:
+                    if v in var_set:
+                        v = -1
+                    n = self._budget_countdown
+                    if n is not None:
+                        if n > 0:
+                            self._budget_countdown = n - 1
+                        else:
+                            self._budget_poll("and_exists")
                 top = [key, v, f1, g1, -1, top]
                 f = f0
                 g = g0
@@ -819,15 +828,18 @@ class BddManager:
                         f, g = g, f
                     if f == g:
                         res = FALSE if is_xor else f
+                        if quant:
+                            res = quantify(res, var_set, _OP_EXISTS)
                     elif f <= TRUE:
                         if f == unit:
-                            res = g
+                            res = (quantify(g, var_set, _OP_EXISTS)
+                                   if quant else g)
                         elif is_xor:
                             res = _not(g)
                         else:
                             res = f
                     else:
-                        key = (f, g)
+                        key = (f, g, cid) if quant else (f, g)
                         res = cache_get(key)
                         if res is None:
                             break
@@ -836,13 +848,17 @@ class BddManager:
                     while True:
                         r0 = top[4]
                         if r0 < 0:
-                            top[4] = res
-                            f = top[2]
-                            g = top[3]
-                            break
-                        # Inline mk(v, r0, r1).
-                        r1 = res
-                        if r0 != r1:
+                            if not (quant and res == TRUE and top[1] < 0):
+                                top[4] = res
+                                f = top[2]
+                                g = top[3]
+                                break
+                            # ∃-short-circuit: TRUE ∨ anything is TRUE.
+                        elif quant and top[1] < 0:
+                            res = _or(r0, res)
+                        elif r0 != res:
+                            # Inline mk(v, r0, r1).
+                            r1 = res
                             v = top[1]
                             ukey = (v, r0, r1)
                             res = unique_get(ukey)
@@ -1278,7 +1294,9 @@ class BddManager:
         """Relational product ``∃ variables . f ∧ g`` in one pass.
 
         Avoids building the full conjunction when most of it is
-        quantified away (CUDD's ``Cudd_bddAndAbstract``).  Image
+        quantified away (CUDD's ``Cudd_bddAndAbstract``).  It runs on
+        the AND/OR/XOR pair loop as an AND whose quantified levels OR
+        their cofactors, stopping at a TRUE low cofactor.  Image
         computation in :mod:`repro.seq.reachability` calls it, and so
         does every bucket of two or more conjuncts in the exact checks'
         bucket elimination (:func:`repro.core.quantify.exists_conj`).
@@ -1290,105 +1308,20 @@ class BddManager:
         return self._and_exists(f, g, vars_key)
 
     def _and_exists(self, f: int, g: int, var_set: frozenset) -> int:
-        # Resolve-first loop.  Frame: [key, var, a, b, state] with
-        # state -2/-1 while the low pair (a=f1, b=g1 pending) is in
-        # flight — -2 when var is quantified, enabling the lo == TRUE
-        # short-circuit — then 1 (quantified, a=low result) or 0
-        # (unquantified, a=low result) while the high pair runs.
-        ctx = self._intern(self._quant_ctx, var_set)
-        cache = self._c_andex
-        cache_get = cache.get
-        limit = self._cache_limit
-        mk = self.mk
-        _or = self._or
-        var_a = self._var
-        low_a = self._low
-        high_a = self._high
-        v2l = self._var2level
-        stack: List[list] = []
-        push = stack.append
-        pop = stack.pop
-        hits = 0
-        miss = 0
-        evt = 0
-        try:
-            while True:
-                # RESOLVE the task (f, g).
-                if f == FALSE or g == FALSE:
-                    res = FALSE
-                elif f == TRUE and g == TRUE:
-                    res = TRUE
-                elif f == TRUE:
-                    res = self._quantify(g, var_set, _OP_EXISTS)
-                elif g == TRUE or f == g:
-                    res = self._quantify(f, var_set, _OP_EXISTS)
-                else:
-                    if f > g:
-                        f, g = g, f
-                    key = (f, g, ctx)
-                    res = cache_get(key)
-                    if res is None:
-                        miss += 1
-                        n = self._budget_countdown
-                        if n is not None:
-                            if n > 0:
-                                self._budget_countdown = n - 1
-                            else:
-                                self._budget_poll("and_exists")
-                        lf = v2l[var_a[f]]
-                        lg = v2l[var_a[g]]
-                        if lf <= lg:
-                            var = var_a[f]
-                            f0 = low_a[f]
-                            f1 = high_a[f]
-                        else:
-                            var = var_a[g]
-                            f0 = f1 = f
-                        if lg <= lf:
-                            g0 = low_a[g]
-                            g1 = high_a[g]
-                        else:
-                            g0 = g1 = g
-                        push([key, var, f1, g1,
-                              -2 if var in var_set else -1])
-                        f = f0
-                        g = g0
-                        continue
-                    hits += 1
-                # UNWIND.
-                while stack:
-                    top = stack[-1]
-                    state = top[4]
-                    if state < 0:
-                        if state == -2 and res == TRUE:
-                            # ∃-short-circuit: TRUE ∨ anything is TRUE.
-                            pop()
-                            if len(cache) >= limit:
-                                del cache[next(iter(cache))]
-                                evt += 1
-                            cache[top[0]] = TRUE
-                            continue
-                        f = top[2]
-                        g = top[3]
-                        top[2] = res
-                        top[4] = 1 if state == -2 else 0
-                        break
-                    pop()
-                    if state == 1:
-                        res = _or(top[2], res)
-                    else:
-                        res = mk(top[1], top[2], res)
-                    if len(cache) >= limit:
-                        del cache[next(iter(cache))]
-                        evt += 1
-                    cache[top[0]] = res
-                else:
-                    return res
-        finally:
-            st = self._cs_andex
-            st[0] += hits
-            st[1] += miss
-            st[2] += evt
+        # Resolve the first pair, then hand a miss to the apply loop's
+        # AND_EXISTS row.  The recursive test oracle overrides this.
+        cid = self._intern(self._quant_ctx, var_set)
+        if f > g:
+            f, g = g, f
+        if f == FALSE:
+            return FALSE
+        if f == TRUE or f == g:
+            return self._quantify(g, var_set, _OP_EXISTS)
+        res = self._c_andex.get((f, g, cid))
+        if res is not None:
+            self._cs_andex[0] += 1
+            return res
+        return self._apply_slow(_OP_AND_EXISTS, f, g, cid, var_set)
 
     # ------------------------------------------------------------------
     # Satisfiability helpers

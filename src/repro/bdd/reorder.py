@@ -24,11 +24,20 @@ the end of their swap sequences.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .manager import TRUE, BddManager, _TERMINAL_VAR
 
 __all__ = ["swap_adjacent_levels", "sift", "set_order"]
+
+#: Blow-up bound of the per-variable walk: a direction aborts once the
+#: live count exceeds this factor times the best size seen so far.
+SIFT_MAX_GROWTH = 1.2
+#: Span cut of the per-variable walk: a direction aborts after this many
+#: consecutive non-improving swaps.  12 cuts reorder work 1.5-2.5x on the
+#: paper's circuits for a few percent of order quality; see
+#: docs/performance.md for the measurements.
+SIFT_STALL = 12
 
 
 def swap_adjacent_levels(mgr: BddManager, level: int) -> int:
@@ -213,7 +222,7 @@ def _swap_unchecked(mgr: BddManager, level: int) -> int:
 
 
 def _sift_one(mgr: BddManager, var: int, max_growth: float,
-              stall: int = 0) -> None:
+              stall: int) -> None:
     """Move one variable through the order, settle at its best level.
 
     The walk in each direction terminates early on two conditions:
@@ -225,8 +234,6 @@ def _sift_one(mgr: BddManager, var: int, max_growth: float,
       a variable's useful positions cluster near a local optimum and
       the historic full-span walk spent most of its swaps shuffling a
       settled variable through levels it never belonged in.
-
-    ``stall = 0`` disables the second condition (the historic walk).
     """
     nvars = mgr.num_vars
     start = mgr._var2level[var]
@@ -250,7 +257,7 @@ def _sift_one(mgr: BddManager, var: int, max_growth: float,
                 since_best += 1
                 if size > int(best_size * max_growth) + 2:
                     break
-                if stall and since_best >= stall:
+                if since_best >= stall:
                     break
         return level
 
@@ -270,17 +277,12 @@ def _sift_one(mgr: BddManager, var: int, max_growth: float,
         level -= 1
 
 
-def sift(mgr: BddManager, max_growth: float = 1.2,
-         max_vars: int = 0, stall: Optional[int] = None) -> int:
+def sift(mgr: BddManager) -> int:
     """One full sifting pass; returns the resulting live node count.
 
-    Variables are processed in decreasing order of their node count.
-    ``max_growth`` bounds the tolerated intermediate blow-up per
-    variable; ``max_vars`` (0 = all) limits how many variables are
-    sifted, mirroring CUDD's ``siftMaxVar``; ``stall`` is the
-    early-termination span cut of :func:`_sift_one` (``None`` reads the
-    manager's ``sift_stall`` attribute, ``0`` forces the historic
-    full-span walk).
+    Every variable is sifted, in decreasing order of its node count,
+    by :func:`_sift_one` with the ``SIFT_MAX_GROWTH`` blow-up bound and
+    the ``SIFT_STALL`` span cut.
 
     A manager subclass may pin the historic per-variable walk via a
     ``_sift_one_impl`` class attribute: the recursive test oracle
@@ -289,10 +291,6 @@ def sift(mgr: BddManager, max_growth: float = 1.2,
     """
     order = sorted(range(mgr.num_vars),
                    key=lambda w: -len(mgr._var_nodes[w]))
-    if max_vars:
-        order = order[:max_vars]
-    if stall is None:
-        stall = getattr(mgr, "sift_stall", 0)
     sift_one = getattr(type(mgr), "_sift_one_impl", _sift_one)
     # Duck-typed observability hook (repro.obs.Tracer injected via
     # BddManager.set_tracer); one span per sifting pass covers both the
@@ -305,7 +303,7 @@ def sift(mgr: BddManager, max_growth: float = 1.2,
         for var in order:
             if len(mgr._var_nodes[var]) == 0:
                 continue
-            sift_one(mgr, var, max_growth, stall)
+            sift_one(mgr, var, SIFT_MAX_GROWTH, SIFT_STALL)
         mgr.clear_cache()
     finally:
         if span is not None:

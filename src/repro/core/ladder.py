@@ -80,7 +80,8 @@ def run_ladder(spec: Circuit, partial: PartialImplementation,
     budget trips mid-rung, the ladder degrades gracefully instead of
     raising — the final result has ``outcome == "inconclusive"`` and
     carries the strongest *completed* rung's verdict plus per-rung
-    timings and the kill reason (see :mod:`repro.resilience`).
+    timings and the kill reason (see :mod:`repro.resilience`).  On
+    return the manager gets its previous budget back.
 
     With a tracer installed (:func:`repro.obs.set_tracer`), the run
     records one ``ladder`` span with a child span per rung, annotated
@@ -143,6 +144,7 @@ def run_ladder(spec: Circuit, partial: PartialImplementation,
 
     if bdd is None:
         bdd = default_bdd()
+    previous_budget = bdd.budget
     if budget is not None:
         budget.start()
         bdd.set_budget(budget)
@@ -209,6 +211,10 @@ def run_ladder(spec: Circuit, partial: PartialImplementation,
                     and not result.error_found:
                 break
     finally:
+        # A caller's manager gets its own budget and tracer back: a
+        # spent ladder budget would trip its later operations.
+        if budget is not None:
+            bdd.set_budget(previous_budget)
         if tracer is not None:
             if ladder_span is not None:
                 ladder_span.done(rungs=len(results))

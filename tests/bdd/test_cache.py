@@ -212,6 +212,31 @@ def test_work_counters_pinned(config):
                                       5066, 16415]
 
 
+def test_and_exists_short_circuits_on_true_low_cofactor():
+    """∃a stops at a quantified level whose low cofactor is TRUE.
+
+    With f = ¬a ∨ (b ∧ d) and g = ¬a ∨ (c ⊕ d), the a = 0 pair is
+    (TRUE, TRUE), so ∃a (f ∧ g) is TRUE after one miss, and the a = 1
+    pair is never expanded.  Expanding it costs three more misses and
+    two more nodes (4 misses and 14 live nodes).  Neither the pinned
+    program above nor the traced benchmark counters reach this rule.
+    """
+    runs = []
+    for cls in (Bdd, LegacyBdd):
+        bdd = cls()
+        a, b, c, d = bdd.add_vars("abcd")
+        f = ~a | (b & d)
+        g = ~a | (c ^ d)
+        product = f.and_exists(g, ["a"])
+        assert product == bdd.true
+        runs.append(([x.node for x in (f, g, product)], len(bdd),
+                     bdd.cache_stats()["ops"].get("and_exists")))
+    current, legacy = runs
+    assert current[:2] == legacy[:2] == ([8, 11, 1], 12)
+    assert current[2] == {"hits": 0, "misses": 1, "evictions": 0,
+                          "entries": 1}
+
+
 class TestEviction:
     def test_segment_respects_bound_and_counts_evictions(self):
         bdd = _fresh(CacheConfig(segment_entries=4))

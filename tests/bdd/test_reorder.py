@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bdd import Bdd, set_order, sift, swap_adjacent_levels
+from repro.bdd import Bdd, set_order, swap_adjacent_levels
 
 
 def build_fixture():
@@ -108,12 +108,6 @@ class TestSift:
         bdd.reorder()
         for key, f in functions.items():
             assert truth_table(f, names) == tables[key]
-
-    def test_sift_max_vars(self):
-        bdd, names, functions = build_fixture()
-        bdd.collect_garbage()
-        sift(bdd.manager, max_vars=2)
-        bdd.manager.check_invariants()
 
     def test_auto_reorder_triggers(self):
         bdd = Bdd(auto_reorder=True, initial_reorder_threshold=64)

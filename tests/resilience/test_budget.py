@@ -167,6 +167,27 @@ class TestLadderDegradation:
         assert results[-1].outcome == OUTCOME_INCONCLUSIVE
         assert results[-1].stats["budget_resource"] == "live_nodes"
 
+    @pytest.mark.parametrize("with_outer", [False, True])
+    def test_caller_manager_gets_its_budget_back(self, with_outer):
+        # The ladder governs a caller's manager only while it runs:
+        # later operations on it must neither charge nor trip the spent
+        # ladder budget (a wall-clock one would trip them all).
+        spec, partial = figure1()
+        bdd = default_bdd()
+        outer = Budget(max_live_nodes=10**9) if with_outer else None
+        bdd.set_budget(outer)
+        ladder_budget = Budget(max_live_nodes=10**9, check_interval=1)
+        run_ladder(spec, partial, patterns=20, seed=0, bdd=bdd,
+                   budget=ladder_budget)
+        assert bdd.budget is outer
+        spent = ladder_budget.steps
+        assert spent > 0
+        xs = bdd.add_vars(["later%d" % i for i in range(6)])
+        f = bdd.false
+        for x, y in zip(xs, xs[1:]):
+            f = f | (x & y)
+        assert ladder_budget.steps == spent
+
     def test_no_budget_behaviour_unchanged(self):
         spec, partial = figure3b()
         plain = run_ladder(spec, partial, patterns=20, seed=1,
